@@ -11,7 +11,6 @@ from .combinatorics import (
     GTDiagram,
     chi,
     chi_apply,
-    diagram_weight,
     enumerate_diagrams,
     enumerate_subsets,
     highest_diagram,
@@ -35,7 +34,6 @@ from .lattice import (
     ExponentVector,
     LatticeBasisVector,
     ShiftVector,
-    canonical_shift,
     canonical_shifts,
     coset_leq,
     in_lattice,
@@ -58,7 +56,6 @@ from .polyengine import (
     evaluate_at_ones,
     evaluate_minors,
     pair,
-    poly_arith,
     poly_from_json,
     poly_to_json,
 )

@@ -219,14 +219,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.poly) as handle:
-        document = json.load(handle)
-    if isinstance(document, dict):
-        n = document["n"]
-        terms = document["terms"]
-    else:
+    try:
+        with open(args.poly) as handle:
+            document = json.load(handle)
+    except OSError as error:
+        raise UsageError(f"cannot read {args.poly}: {error.strerror}") from None
+    except json.JSONDecodeError as error:
+        raise UsageError(f"{args.poly} is not valid JSON: {error}") from None
+    if not isinstance(document, dict) or not {"n", "terms"} <= document.keys():
         raise UsageError("polynomial file must be an object with n and terms")
-    poly = poly_from_json(n, terms)
+    poly = poly_from_json(document["n"], document["terms"])
     if args.matrix:
         matrix = json.loads(args.matrix)
         value = evaluate_minors(poly, matrix)
@@ -249,22 +251,22 @@ def build_parser():
 
     p = sub.add_parser("lattice", help="print the lattice basis for given n")
     p.add_argument("n", type=int)
-    _common(p)
+    _formatted(p)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("diagrams", help="enumerate diagrams of a top row")
     p.add_argument("top_row")
-    _common(p)
+    _formatted(p)
     p.set_defaults(func=cmd_diagrams)
 
     p = sub.add_parser("basis", help="full basis: series, solutions, gt functions")
     p.add_argument("top_row")
-    _common(p)
+    _formatted(p)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("gram", help="pairing matrix of the solution basis")
     p.add_argument("top_row")
-    _common(p)
+    _formatted(p)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("verify", help="run exact verification suites")
@@ -285,8 +287,12 @@ def build_parser():
 
 
 def _common(p):
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
+
+
+def _formatted(p):
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    _common(p)
 
 
 def main(argv=None) -> int:

@@ -156,10 +156,6 @@ def enumerate_diagrams(top_row):
     return sorted(descend([values]), key=lambda d: d.rows)
 
 
-def diagram_weight(d: GTDiagram):
-    return d.weight()
-
-
 def highest_diagram(top_row) -> GTDiagram:
     """The diagram whose every row repeats the top row's leading entries."""
     values = tuple(int(x) for x in top_row)

@@ -16,7 +16,6 @@ from functools import lru_cache
 from . import _linalg
 from .combinatorics import GTDiagram, enumerate_diagrams
 from .lattice import (
-    ExponentVector,
     ShiftVector,
     canonical_shift_table,
     coset_leq,
@@ -26,15 +25,14 @@ from .lattice import (
 )
 from .polyengine import Polynomial, evaluate_at_ones, pair
 from .series import (
-    _array_feasible,
-    _chi_array,
-    _r_chi_tables,
     agkz_solution,
     f_pair_series,
     feasible_down_shifts,
+    feasible_up_shifts,
     gamma_series,
     j_series,
     multi_factorial,
+    rising,
 )
 
 
@@ -113,8 +111,8 @@ def _pochhammer_expansion(a: int, b: int):
     """
     top = a + b
     samples = list(range(top + 1))
-    matrix = [[_rising_int(t, c) for c in range(top + 1)] for t in samples]
-    rhs = [_rising_int(t, a) * _rising_int(t, b) for t in samples]
+    matrix = [[rising(t, c) for c in range(top + 1)] for t in samples]
+    rhs = [rising(t, a) * rising(t, b) for t in samples]
     solution = _linalg.solve(matrix, rhs)
     table = {}
     for c, value in enumerate(solution):
@@ -123,13 +121,6 @@ def _pochhammer_expansion(a: int, b: int):
                 raise ArithmeticError("expansion outside the expected range")
             table[c] = value
     return table
-
-
-def _rising_int(t: int, s: int) -> int:
-    result = 1
-    for step in range(1, s + 1):
-        result *= t + step
-    return result
 
 
 def coeff_C_alt(delta, l) -> Fraction:
@@ -265,48 +256,6 @@ def gt_basis(basis: RepresentationBasis):
     return [gt_function(entry.shift, basis, table) for entry in basis.entries]
 
 
-def _feasible_up_shifts(gamma: ExponentVector):
-    """All s >= 0 for which gamma + s.r + B contains a nonnegative point.
-
-    Adding r^alpha lowers the level-i functional values, so filling the
-    multi-index level by level (shallowest first) keeps every intermediate
-    array nonnegative exactly when the endpoint is reachable.
-    """
-    n = gamma.n
-    basis = lattice_basis(n)
-    array = _chi_array(gamma)
-    r_tables = _r_chi_tables(n)
-    order = sorted(range(len(basis)), key=lambda a: (basis[a].i, a))
-    found = []
-    current = [0] * len(basis)
-
-    def bound(alpha, state):
-        vec = basis[alpha]
-        return min(
-            state[(vec.i, q)] for q in range(vec.j, vec.x)
-        )
-
-    def search(position, state):
-        if position == len(order):
-            if _array_feasible(n, tuple(sorted(state.items()))):
-                found.append(tuple(current))
-            return
-        alpha = order[position]
-        limit = bound(alpha, state)
-        count = 0
-        while count <= limit:
-            current[alpha] = count
-            next_state = dict(state)
-            for pq, delta in r_tables[alpha].items():
-                next_state[pq] += count * delta
-            search(position + 1, next_state)
-            count += 1
-        current[alpha] = 0
-
-    search(0, array)
-    return tuple(found)
-
-
 def canonical_form(gamma) -> Polynomial:
     """Sparse polynomial congruent to the lattice series modulo the Plucker generators.
 
@@ -321,7 +270,7 @@ def canonical_form(gamma) -> Polynomial:
     for vec in basis:
         v_total = v_total + vec.v
     terms = []
-    for s in _feasible_up_shifts(vector):
+    for s in feasible_up_shifts(vector):
         constant = evaluate_at_ones(j_series(v_total, s))
         if constant == 0:
             continue

@@ -248,13 +248,13 @@ class AmbiguousMinimumError(ValueError):
     """A comparability component has no unique minimal diagram."""
 
 
-def coset_leq(gamma: ExponentVector, delta: ExponentVector, *, with_witness=True):
-    """Witness s >= 0 with gamma + s.r congruent to delta mod B, or None.
+def _window_defect(gamma: ExponentVector, delta: ExponentVector):
+    """Unit-window amounts carrying the class of gamma up to that of delta, or None.
 
-    Existence is equivalent to: for every level p < n, the prefix sums of
-    the chi arrays satisfy sum_{p'<=p} chi_{p'}^q(gamma) >= same for delta
-    at p < q < n, with equality at q in {p, n}.  The witness places the
-    required defect on the unit-window vectors (p, q, q+1, empty X).
+    The amount on the window (p, q, q+1) is the prefix sum over levels
+    p' <= p of chi_{p'}^q(gamma) - chi_{p'}^q(delta), for p < q < n; the
+    classes are comparable iff every amount is >= 0 and the same prefix
+    sums vanish at q in {p, n} (equal weight and top row).
     """
     if gamma.n != delta.n:
         raise ValueError("dimension mismatch")
@@ -272,57 +272,71 @@ def coset_leq(gamma: ExponentVector, delta: ExponentVector, *, with_witness=True
                 return None
             else:
                 defect[(p, q)] = prefix
+    return defect
+
+
+def coset_leq(gamma: ExponentVector, delta: ExponentVector, *, with_witness=True):
+    """Witness s >= 0 with gamma + s.r congruent to delta mod B, or None.
+
+    The witness places the window defect on the unit-window vectors
+    (p, q, q+1, empty X).
+    """
+    defect = _window_defect(gamma, delta)
+    if defect is None:
+        return None
     if not with_witness:
         return ()
+    n = gamma.n
     index = _basis_index(n)
     witness = [0] * len(lattice_basis(n))
     for (p, q), amount in defect.items():
-        if amount:
-            witness[index[(p, q, q + 1, ())]] = amount
+        witness[index[(p, q, q + 1, ())]] = amount
     s = tuple(witness)
     assert chi_table(gamma + r_shift(n, s)) == chi_table(delta)
     return s
 
 
 def r_routes(gamma: ExponentVector, delta: ExponentVector):
-    """All u >= 0 with gamma congruent to delta - u.r mod B.
+    """All u >= 0 with gamma + u.r congruent to delta mod B, in sorted order.
 
-    From n = 4 on distinct multi-indices can join the same pair of classes
-    (distinct basis directions may share their r vector mod B), so this is
-    a list, not a single witness.  Bounded by the weighted functional sum,
-    which every subtraction of an r vector strictly decreases.
+    r^(i, j, x, X) moves a class by the unit windows (i, q, q+1) for
+    j <= q < x, so a route splits the window defect of each level i into
+    intervals [j, x - 1].  Directions sharing (i, j, x) differ only in X and
+    have the same effect: these parallel directions, possible from n = 4 on,
+    are why distinct routes can join the same pair of classes.
     """
-    if gamma.n != delta.n:
-        raise ValueError("dimension mismatch")
+    defect = _window_defect(gamma, delta)
+    if defect is None:
+        return []
     n = gamma.n
     basis = lattice_basis(n)
-    k = len(basis)
-    if k == 0:
-        return [()] if in_lattice(delta - gamma) else []
-    psi = lambda v: sum(p * chi_apply(p, q, v) for p, q in chi_pairs(n))
-    # every route has the same weighted cost: psi(delta) - psi(gamma)
-    budget = psi(delta) - psi(gamma)
-    if budget < 0:
-        return []
-    target = chi_table(gamma)
-    costs = [vec.x - vec.j for vec in basis]
+    order = sorted(range(len(basis)), key=lambda a: (basis[a].i, basis[a].j, basis[a].x))
     routes = []
-    current = [0] * k
+    current = [0] * len(basis)
 
-    def search(alpha, remaining):
-        if alpha == k:
-            if remaining == 0 and chi_table(delta - r_shift(n, tuple(current))) == target:
-                routes.append(tuple(current))
+    def search(position):
+        if position == len(order):
+            routes.append(tuple(current))
             return
-        count = 0
-        while count * costs[alpha] <= remaining:
+        alpha = order[position]
+        vec = basis[alpha]
+        windows = [(vec.i, q) for q in range(vec.j, vec.x)]
+        limit = min(defect[w] for w in windows)
+        # (i, j, n, ()) is the last direction to cover window (i, j): it takes the rest
+        counts = [defect[(vec.i, vec.j)]] if vec.x == n else range(limit + 1)
+        for count in counts:
+            if count > limit:
+                break
             current[alpha] = count
-            search(alpha + 1, remaining - count * costs[alpha])
-            count += 1
+            for w in windows:
+                defect[w] -= count
+            search(position + 1)
+            for w in windows:
+                defect[w] += count
         current[alpha] = 0
 
-    search(0, budget)
-    return routes
+    search(0)
+    return sorted(routes)
 
 
 def comparability_components(shifts):
@@ -385,15 +399,6 @@ def canonical_shift_table(diagrams):
 def canonical_shifts(diagrams):
     """Coherent shift vectors for all diagrams of one representation."""
     return [shift for shift, _ in canonical_shift_table(diagrams)]
-
-
-def canonical_shift(d: GTDiagram, context) -> ShiftVector:
-    """Canonical shift of one diagram within the context representation."""
-    diagrams = list(context)
-    for idx, other in enumerate(diagrams):
-        if other == d:
-            return canonical_shifts(diagrams)[idx]
-    raise ValueError("diagram does not belong to the context")
 
 
 def nonneg_points(gamma: ExponentVector):

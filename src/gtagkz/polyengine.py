@@ -118,17 +118,6 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def poly_arith(op: str, f: Polynomial, g) -> Polynomial:
-    """Ring arithmetic dispatch: op is one of add, mul, scale."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def _falling(base: int, count: int) -> int:
     result = 1
     for step in range(count):

@@ -9,17 +9,19 @@ paired series whose value at A = 1 reproduces scalar products of solutions.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
-from .combinatorics import chi_apply, chi_pairs
+from .combinatorics import GTDiagram, chi_apply
 from .lattice import (
     ExponentVector,
     coset_points,
     lattice_basis,
     nonneg_points,
+    r_routes,
     r_shift,
+    shift_from_diagram,
 )
 from .polyengine import Polynomial, exponent_factorial
 
@@ -77,95 +79,59 @@ def j_series(gamma: ExponentVector, s) -> Polynomial:
     return Polynomial(vector.n, terms)
 
 
-@lru_cache(maxsize=None)
-def _r_chi_tables(n: int):
-    """chi values of every r^alpha, as dicts keyed by (p, q)."""
-    tables = []
-    for vec in lattice_basis(n):
-        tables.append(
-            {pq: chi_apply(*pq, vec.r) for pq in chi_pairs(n) if chi_apply(*pq, vec.r)}
-        )
-    return tuple(tables)
+def _pattern_rows(top, sums):
+    """Rows of the Gelfand-Tsetlin patterns under top whose row of length j sums to sums[j].
+
+    There are none when top is not weakly decreasing.
+    """
+    if len(top) == 1:
+        yield (top,)
+        return
+    for row in itertools.product(*(range(low, high + 1) for high, low in zip(top, top[1:]))):
+        if sum(row) == sums[len(row)]:
+            for rest in _pattern_rows(row, sums):
+                yield (top,) + rest
 
 
-def _chi_array(vector: ExponentVector):
-    return {pq: chi_apply(*pq, vector) for pq in chi_pairs(vector.n)}
+def _feasible_classes(vector: ExponentVector):
+    """Representatives of the classes with vector's top row and weight that hold a
+    nonnegative point.
+
+    A class holds one exactly when its chi array is a Gelfand-Tsetlin pattern,
+    so the classes are the patterns with the normalized top row and row sums,
+    raised back by the full-set count; r preserves top row and weight.
+    """
+    n = vector.n
+    full = chi_apply(n, n, vector)
+    if full < 0:
+        return []
+    top = tuple(chi_apply(p, n, vector) - full for p in range(1, n + 1))
+    sums = [sum(chi_apply(p, q, vector) for p in range(1, q + 1)) - q * full for q in range(n)]
+    raise_full = full * ExponentVector.unit(n, tuple(range(1, n + 1)))
+    return [
+        shift_from_diagram(GTDiagram(rows)).gamma + raise_full
+        for rows in _pattern_rows(top, sums)
+    ]
 
 
-def _vector_with_chi_array(n: int, array) -> ExponentVector:
-    """Staircase solution of chi(x) = array for an arbitrary integer array."""
-    entries = []
-    get = lambda p, q: array[(p, q)]
-    for p in range(1, n + 1):
-        top_next = get(p + 1, n) if p < n else 0
-        entries.append((tuple(range(1, p + 1)), get(p, p) - top_next))
-        for q in range(p + 1, n + 1):
-            entries.append((tuple(range(1, p)) + (q,), get(p, q) - get(p, q - 1)))
-    return ExponentVector(n, entries)
+def feasible_down_shifts(gamma):
+    """All s >= 0 for which gamma - s.r + B contains a nonnegative point, sorted.
 
-
-@lru_cache(maxsize=None)
-def _array_feasible(n: int, array_items) -> bool:
-    """Whether any nonnegative vector has the given chi array."""
-    array = dict(array_items)
-    if any(value < 0 for value in array.values()):
-        return False
-    # chi_p^q <= chi_p'^q' pointwise on subsets whenever p' <= p and q <= q'.
-    for (p, q), value in array.items():
-        if p > 1 and value > array[(p - 1, q)]:
-            return False
-        if q < n and value > array[(p, q + 1)]:
-            return False
-    return bool(nonneg_points(_vector_with_chi_array(n, array)))
-
-
-def _psi(array) -> int:
-    return sum(p * value for (p, _), value in array.items())
-
-
-def feasible_down_shifts(gamma: ExponentVector):
-    """All s >= 0 for which gamma - s.r + B contains a nonnegative point.
-
-    Subtracting r^alpha lowers the weighted functional sum by x - j >= 1, and
-    that sum is nonnegative on any feasible class, which bounds the search to
-    a finite simplex; each candidate is then checked exactly.
+    The union of the r-routes up from every feasible class of the same top row
+    and weight; gamma may be any integer vector, not only a diagram's shift.
     """
     vector = _gamma_of(gamma)
-    base_array = _chi_array(vector)
-    return _feasible_down_shifts(vector.n, tuple(sorted(base_array.items())))
+    return tuple(sorted(s for low in _feasible_classes(vector) for s in r_routes(low, vector)))
 
 
-@lru_cache(maxsize=None)
-def _feasible_down_shifts(n: int, array_items):
-    basis = lattice_basis(n)
-    base_array = dict(array_items)
-    budget = _psi(base_array)
-    if budget < 0:
-        return ()
-    r_tables = _r_chi_tables(n)
-    costs = [vec.x - vec.j for vec in basis]
-    found = []
-    current = [0] * len(basis)
+def feasible_up_shifts(gamma):
+    """All s >= 0 for which gamma + s.r + B contains a nonnegative point, sorted.
 
-    def search(alpha, remaining):
-        if alpha == len(basis):
-            array = dict(base_array)
-            for idx, count in enumerate(current):
-                if count:
-                    for pq, delta in r_tables[idx].items():
-                        array[pq] -= count * delta
-            if _array_feasible(n, tuple(sorted(array.items()))):
-                found.append(tuple(current))
-            return
-        count = 0
-        while count * costs[alpha] <= remaining:
-            current[alpha] = count
-            search(alpha + 1, remaining - count * costs[alpha])
-            count += 1
-        current[alpha] = 0
-
-    search(0, budget)
-    return tuple(found)
+    The union of the r-routes from gamma up to every feasible class of the
+    same top row and weight.
+    """
+    vector = _gamma_of(gamma)
+    return tuple(sorted(s for high in _feasible_classes(vector) for s in r_routes(vector, high)))
 
 
 def agkz_solution(gamma) -> Polynomial:

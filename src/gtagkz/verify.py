@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from . import _linalg
@@ -33,7 +34,13 @@ from .polyengine import (
     evaluate_minors,
     pair,
 )
-from .series import agkz_solution, j_series, multi_factorial, rising
+from .series import (
+    agkz_solution,
+    feasible_down_shifts,
+    j_series,
+    multi_factorial,
+    rising,
+)
 
 
 @dataclass
@@ -229,14 +236,12 @@ def check_canf_minor_identity(ctx: VerifyContext) -> CheckResult:
 def osnf_rhs(gamma, omega) -> Polynomial:
     """Right side of the operator action identity, summed over feasible shifts."""
     n = gamma.n
-    basis = lattice_basis(n)
-    k = len(basis)
     shifted = gamma
-    for vec in basis:
+    for vec in lattice_basis(n):
         shifted = shifted + vec.v
     base = omega - gamma
     total = Polynomial.zero(n)
-    for s in _budget_multi_indices(base, k):
+    for s in osnf_shifts(base):
         constant = evaluate_at_ones(j_series(shifted, s))
         if constant == 0:
             continue
@@ -248,33 +253,16 @@ def osnf_rhs(gamma, omega) -> Polynomial:
     return total
 
 
-def _budget_multi_indices(base, k):
-    """All s >= 0 that could leave a nonzero solution at base - s.r."""
-    from .series import _chi_array, _psi
+def osnf_shifts(base):
+    """All s >= 0 that can leave a nonzero solution at base - s.r, sorted.
 
-    if k == 0:
-        return [()]
-    budget = _psi(_chi_array(base))
-    if budget < 0:
-        return []
-    basis = lattice_basis(base.n)
-    costs = [vec.x - vec.j for vec in basis]
-    found = []
-    current = [0] * k
-
-    def search(alpha, remaining):
-        if alpha == k:
-            found.append(tuple(current))
-            return
-        count = 0
-        while count * costs[alpha] <= remaining:
-            current[alpha] = count
-            search(alpha + 1, remaining - count * costs[alpha])
-            count += 1
-        current[alpha] = 0
-
-    search(0, budget)
-    return found
+    The solution at base - s.r sums over the t with s + t a feasible down
+    shift of base, so s runs over the down-closure of those shifts.
+    """
+    closure = set()
+    for u in feasible_down_shifts(base):
+        closure.update(product(*(range(part + 1) for part in u)))
+    return sorted(closure)
 
 
 def check_osnf_identity(ctx: VerifyContext, pairs=10) -> CheckResult:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gtagkz.cli import main
 
 
@@ -122,6 +124,43 @@ def test_eval_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", str(path), "--matrix", identity)
     assert code == 0
     assert out.strip() in {"0", "1"}
+
+
+def assert_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_eval_missing_file(tmp_path, capsys):
+    code, _, err = run(capsys, "eval", str(tmp_path / "absent.json"))
+    assert_usage_error(code, err)
+    assert "cannot read" in err
+
+
+def test_eval_invalid_json(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text("{not json")
+    code, _, err = run(capsys, "eval", str(path))
+    assert_usage_error(code, err)
+    assert "not valid JSON" in err
+
+
+def test_eval_object_without_n_or_terms(tmp_path, capsys):
+    for document in ({"terms": []}, {"n": 3}, [1, 2]):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "eval", str(path))
+        assert_usage_error(code, err)
+        assert "object with n and terms" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "eval"])
+def test_format_is_rejected_where_it_has_no_effect(command, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main([command, "2,1,0", "--format", "json"])
+    assert raised.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from gtagkz.combinatorics import (
     chi,
     chi_apply,
     chi_pairs,
-    diagram_weight,
     enumerate_diagrams,
     enumerate_subsets,
     highest_diagram,
@@ -137,11 +136,11 @@ def test_betweenness_validation():
 
 def test_diagram_weight_examples():
     top = highest_diagram((2, 1, 0))
-    assert diagram_weight(top) == (2, 1, 0)
+    assert top.weight() == (2, 1, 0)
     zero = highest_diagram((0, 0, 0))
-    assert diagram_weight(zero) == (0, 0, 0)
+    assert zero.weight() == (0, 0, 0)
     d = GTDiagram(((2, 1, 0), (2, 1), (1,)))
-    assert diagram_weight(d) == (1, 2, 0)
+    assert d.weight() == (1, 2, 0)
 
 
 def test_normalize_weight_records_prefactor():
