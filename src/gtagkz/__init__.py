@@ -22,11 +22,9 @@ from .gtbasis import (
     canonical_form,
     coeff_C,
     coeff_C_alt,
-    coeff_S,
     gram_matrix,
     gt_basis,
     gt_function,
-    lagrange_orthogonalize,
     weyl_dimension,
 )
 from .lattice import (

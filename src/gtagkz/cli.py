@@ -228,9 +228,16 @@ def cmd_eval(args) -> int:
         raise UsageError(f"{args.poly} is not valid JSON: {error}") from None
     if not isinstance(document, dict) or not {"n", "terms"} <= document.keys():
         raise UsageError("polynomial file must be an object with n and terms")
-    poly = poly_from_json(document["n"], document["terms"])
+    n, terms = document["n"], document["terms"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise UsageError(f"n must be an integer >= 1, got {json.dumps(n)}")
+    if not isinstance(terms, list):
+        raise UsageError(f"terms must be a list, got {json.dumps(terms)}")
+    poly = poly_from_json(n, terms)
     if args.matrix:
         matrix = json.loads(args.matrix)
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+            raise UsageError(f"--matrix must be a list of lists, got {args.matrix}")
         value = evaluate_minors(poly, matrix)
     else:
         value = evaluate_at_ones(poly)

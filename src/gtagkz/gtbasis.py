@@ -2,9 +2,10 @@
 
 The solution polynomials F of the antisymmetrized GKZ system carry the
 invariant pairing; the Gelfand-Tsetlin functions G are obtained by a
-lower-triangular change of basis whose coefficients are values at A = 1 of
-the paired hypergeometric series (hypergeometric constants).  A generic
-exact Lagrange/Gram-Schmidt diagonalization cross-validates the formulas.
+lower-triangular change of basis, computed by exact Gram-Schmidt over the
+down-set of each solution from the pairings of the solutions.  The paper's
+closed-form coefficients, values at A = 1 of the paired hypergeometric series
+(hypergeometric constants), are kept beside the exact pairings as C.
 """
 
 from __future__ import annotations
@@ -165,8 +166,13 @@ class CoefficientTable:
     the actual solution polynomials.  The two coincide whenever no two
     distinct nonnegative r-combinations join the same pair of classes; when
     such parallel routes exist (possible from n = 4 on) the closed form
-    misses their cross terms, so the inversion S is always built from the
-    exact pairings.
+    misses their cross terms, so S is always built from the exact pairings.
+
+    S[(idx, l)] is the coefficient of the solution at gap l below entry idx
+    in its Gelfand-Tsetlin function G: exact Gram-Schmidt of F over the
+    strict down-set of the entry, scaled so that S[(idx, 0)] = 1 / <F, F>.
+    On chains of length at most two this is the first-order inversion
+    -C / (d d') of the closed-form coefficients.
     """
 
     def __init__(self, basis: RepresentationBasis):
@@ -190,22 +196,30 @@ class CoefficientTable:
                 raise DegenerateMetricError(
                     f"zero diagonal coefficient at diagram {entry.diagram.rows}"
                 )
-        for (idx, l), value in self.C_exact.items():
+        # G_idx = (F_idx - sum_j <F_idx, G_j> / <G_j, G_j> G_j) / d_idx over the
+        # strict down-set; a strictly lower entry has a smaller witness sum,
+        # so bottom-up order finishes every G_j before G_idx needs it
+        norms = {}  # <G_j, G_j>
+        order = sorted(range(len(basis.entries)), key=lambda i: sum(basis.entries[i].witness))
+        for idx in order:
             diagonal = self.C_exact[(idx, zero)]
-            if all(part == 0 for part in l):
-                self.S[(idx, l)] = 1 / diagonal
-            else:
-                jdx = self._lower_index(idx, l)
-                lower_diagonal = self.C_exact[(jdx, zero)]
-                if lower_diagonal == 0:
-                    raise DegenerateMetricError("zero diagonal coefficient below")
-                self.S[(idx, l)] = -value / (diagonal * lower_diagonal)
-
-    def _lower_index(self, idx, l):
-        for jdx, gap in self.lowers[idx]:
-            if gap == l:
-                return jdx
-        raise KeyError((idx, l))
+            for _, l in self.lowers[idx]:
+                self.S[(idx, l)] = 1 / diagonal if l == zero else Fraction(0)
+            for jdx, l in self.lowers[idx]:
+                if l == zero:
+                    continue
+                # G_j in the solutions below it, by their gaps from idx
+                below = [
+                    (tuple(a + b for a, b in zip(l, m)), self.S[(jdx, m)])
+                    for _, m in self.lowers[jdx]
+                ]
+                overlap = sum(s * self.C_exact[(idx, gap)] for gap, s in below)
+                factor = overlap / (diagonal * norms[jdx])
+                for gap, s in below:
+                    self.S[(idx, gap)] -= factor * s
+            norms[idx] = sum(
+                self.S[(idx, l)] * self.C_exact[(idx, l)] for _, l in self.lowers[idx]
+            ) / diagonal
 
 
 def _witness_gap(upper: BasisEntry, lower: BasisEntry):
@@ -218,16 +232,6 @@ def _witness_gap(upper: BasisEntry, lower: BasisEntry):
     if any(part < 0 for part in gap):
         return None
     return gap
-
-
-def coeff_S(delta, l, table: CoefficientTable) -> Fraction:
-    """Inverse-transform coefficient from a prepared table."""
-    basis = table.basis
-    vector = getattr(delta, "gamma", delta)
-    for idx, entry in enumerate(basis.entries):
-        if entry.shift.gamma == vector:
-            return table.S[(idx, tuple(l))]
-    raise KeyError("shift vector not in basis")
 
 
 def gt_function(delta, basis: RepresentationBasis, table: CoefficientTable | None = None) -> Polynomial:
@@ -287,32 +291,6 @@ def canonical_form(gamma) -> Polynomial:
         sign = -1 if sum(s) % 2 else 1
         terms.append((exponent, Fraction(sign, multi_factorial(s)) * constant))
     return Polynomial(n, terms)
-
-
-def lagrange_orthogonalize(basis: RepresentationBasis):
-    """Generic exact Gram-Schmidt in a total order refining the partial order.
-
-    Independent of the coefficient formulas; output is aligned with
-    basis.entries and spans the same flags as the gt functions.
-    """
-    order = sorted(
-        range(len(basis.entries)),
-        key=lambda i: (sum(basis.entries[i].witness), basis.entries[i].diagram.rows),
-    )
-    outputs = [None] * len(basis.entries)
-    processed = []
-    for idx in order:
-        candidate = basis.entries[idx].agkz_poly
-        for jdx in processed:
-            previous = outputs[jdx]
-            overlap = pair(candidate, previous)
-            if overlap:
-                candidate = candidate - previous.scale(overlap / pair(previous, previous))
-        if pair(candidate, candidate) == 0:
-            raise DegenerateMetricError("singular pairing during orthogonalization")
-        outputs[idx] = candidate
-        processed.append(idx)
-    return outputs
 
 
 def weyl_dimension(top_row) -> int:

@@ -23,7 +23,7 @@ from .gtbasis import (
     build_basis,
     canonical_form,
     coeff_C_alt,
-    gt_basis,
+    gt_function,
 )
 from .lattice import lattice_basis, r_routes, r_shift
 from .operators import agkz_apply, e_action, euler_weighted, plucker_generator
@@ -89,7 +89,7 @@ class VerifyContext:
     @property
     def gt_polys(self):
         if self._gt is None:
-            self._gt = gt_basis(self.basis)
+            self._gt = [gt_function(e.shift, self.basis, self.table) for e in self.basis.entries]
         return self._gt
 
     @property

@@ -155,6 +155,32 @@ def test_eval_object_without_n_or_terms(tmp_path, capsys):
         assert "object with n and terms" in err
 
 
+@pytest.mark.parametrize(
+    "document, matrix",
+    [
+        ({"n": 3, "terms": 5}, None),
+        ({"n": 3, "terms": {}}, None),
+        ({"n": "3", "terms": []}, None),
+        ({"n": 0, "terms": []}, None),
+        ({"n": -1, "terms": []}, None),
+        ({"n": True, "terms": []}, None),
+        ({"n": 3.0, "terms": []}, None),
+        ({"n": None, "terms": []}, None),
+        ({"n": 2, "terms": []}, "5"),
+        ({"n": 2, "terms": []}, "[1, 0]"),
+        ({"n": 2, "terms": []}, '"[[1]]"'),
+        ({"n": 2, "terms": []}, "{}"),
+        ({"n": 2, "terms": []}, "[[1, 0], 0]"),
+    ],
+)
+def test_eval_rejects_wrongly_typed_input(document, matrix, tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "eval", str(path), *(["--matrix", matrix] if matrix else []))
+    assert_usage_error(code, err)
+    assert "must be" in err
+
+
 @pytest.mark.parametrize("command", ["verify", "eval"])
 def test_format_is_rejected_where_it_has_no_effect(command, capsys):
     with pytest.raises(SystemExit) as raised:

@@ -8,17 +8,17 @@ import pytest
 from gtagkz.combinatorics import GTDiagram, highest_diagram
 from gtagkz.gtbasis import (
     CoefficientTable,
+    DegenerateMetricError,
     build_basis,
     canonical_form,
     coeff_C,
     coeff_C_alt,
-    coeff_S,
     gram_matrix,
     gt_basis,
     gt_function,
-    lagrange_orthogonalize,
     weyl_dimension,
 )
+from gtagkz.lattice import lattice_basis
 from gtagkz.polyengine import evaluate_minors, pair
 from gtagkz.series import gamma_series
 from gtagkz import _linalg
@@ -32,6 +32,33 @@ def seeded_matrices(n, seed, count):
         if _linalg.det(m) != 0:
             out.append(m)
     return out
+
+
+def lagrange_orthogonalize(basis):
+    """Generic exact Gram-Schmidt in a total order refining the partial order.
+
+    Reference for the S table: shares no code with it, projects each solution
+    against every earlier output, not only its down-set.  Output is aligned
+    with basis.entries and spans the same flags as the gt functions.
+    """
+    order = sorted(
+        range(len(basis.entries)),
+        key=lambda i: (sum(basis.entries[i].witness), basis.entries[i].diagram.rows),
+    )
+    outputs = [None] * len(basis.entries)
+    processed = []
+    for idx in order:
+        candidate = basis.entries[idx].agkz_poly
+        for jdx in processed:
+            previous = outputs[jdx]
+            overlap = pair(candidate, previous)
+            if overlap:
+                candidate = candidate - previous.scale(overlap / pair(previous, previous))
+        if pair(candidate, candidate) == 0:
+            raise DegenerateMetricError("singular pairing during orthogonalization")
+        outputs[idx] = candidate
+        processed.append(idx)
+    return outputs
 
 
 def proportional(f, g):
@@ -137,9 +164,27 @@ def test_parallel_routes_break_the_closed_form_on_gl4():
 def test_coeff_S_formulas():
     basis = build_basis((2, 1, 0))
     table = CoefficientTable(basis)
-    high = basis.entries[basis.index_of(GTDiagram(((2, 1, 0), (1, 1), (1,))))]
-    assert coeff_S(high.shift, (0,), table) == Fraction(1, 6)
-    assert coeff_S(high.shift, (1,), table) == Fraction(3, 12)  # -(-3)/(6*2)
+    idx = basis.index_of(GTDiagram(((2, 1, 0), (1, 1), (1,))))
+    assert table.S[(idx, (0,))] == Fraction(1, 6)
+    assert table.S[(idx, (1,))] == Fraction(3, 12)  # -(-3)/(6*2)
+
+
+def test_S_keeps_the_diagonal_and_the_first_order_inversion_on_short_chains():
+    basis = build_basis((4, 2, 0))
+    table = CoefficientTable(basis)
+    zero = (0,)
+    for idx in range(len(basis.entries)):
+        assert table.S[(idx, zero)] == 1 / table.C_exact[(idx, zero)]
+    # chains of length at most two: Gram-Schmidt reduces to -C / (d d')
+    for top in ((2, 1, 0), (3, 1, 0), (2, 1, 0, 0)):
+        table = CoefficientTable(build_basis(top))
+        zero = (0,) * len(lattice_basis(len(top)))
+        for idx, lowers in table.lowers.items():
+            diagonal = table.C_exact[(idx, zero)]
+            for jdx, l in lowers:
+                if l != zero:
+                    expected = -table.C_exact[(idx, l)] / (diagonal * table.C_exact[(jdx, zero)])
+                    assert table.S[(idx, l)] == expected
 
 
 def test_gt_function_highest_is_normalized_highest_vector():
@@ -150,7 +195,10 @@ def test_gt_function_highest_is_normalized_highest_vector():
     assert proportional(g, gamma_series(shift))
 
 
-@pytest.mark.parametrize("top", [(2, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0)])
+LONG_CHAINS = [(4, 2, 0), (3, 1, 0, 0), (2, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("top", [(2, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0)] + LONG_CHAINS)
 def test_gt_basis_orthogonal(top):
     polys = gt_basis(build_basis(top))
     for a in range(len(polys)):
@@ -158,7 +206,7 @@ def test_gt_basis_orthogonal(top):
             assert pair(polys[a], polys[b]) == 0
 
 
-@pytest.mark.parametrize("top", [(2, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0)])
+@pytest.mark.parametrize("top", [(2, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0)] + LONG_CHAINS)
 def test_lagrange_matches_gt_functions(top):
     basis = build_basis(top)
     polys = gt_basis(basis)
@@ -174,25 +222,6 @@ def test_lagrange_keeps_isolated_solutions():
     generic = lagrange_orthogonalize(basis)
     for entry, out in zip(basis.entries, generic):
         assert out == entry.agkz_poly
-
-
-def test_first_order_inversion_stops_at_depth_two():
-    # on a three-step chain the closed-form inversion is no longer exact,
-    # while the generic diagonalization stays orthogonal
-    basis = build_basis((4, 2, 0))
-    polys = gt_basis(basis)
-    broken = any(
-        pair(polys[a], polys[b]) != 0
-        for a in range(len(polys))
-        for b in range(a + 1, len(polys))
-    )
-    assert broken
-    generic = lagrange_orthogonalize(basis)
-    assert all(
-        pair(generic[a], generic[b]) == 0
-        for a in range(len(generic))
-        for b in range(a + 1, len(generic))
-    )
 
 
 def test_canonical_form_highest_diagram_single_term():
