@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .combinatorics import enumerate_diagrams, normalize_weight
@@ -218,6 +219,12 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+def _is_number(value) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+
+
 def cmd_eval(args) -> int:
     try:
         with open(args.poly) as handle:
@@ -238,6 +245,8 @@ def cmd_eval(args) -> int:
         matrix = json.loads(args.matrix)
         if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
             raise UsageError(f"--matrix must be a list of lists, got {args.matrix}")
+        if not all(_is_number(entry) for row in matrix for entry in row):
+            raise UsageError(f"--matrix entries must be finite numbers, got {args.matrix}")
         value = evaluate_minors(poly, matrix)
     else:
         value = evaluate_at_ones(poly)

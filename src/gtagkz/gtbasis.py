@@ -183,9 +183,14 @@ class CoefficientTable:
         self.lowers = {}
         n = basis.n
         zero = (0,) * len(lattice_basis(n))
+        weights = [entry.diagram.weight() for entry in basis.entries]
+        same_weight = {}
+        for jdx, weight in enumerate(weights):
+            same_weight.setdefault(weight, []).append(jdx)
         for idx, entry in enumerate(basis.entries):
             lowers = []
-            for jdx, other in enumerate(basis.entries):
+            for jdx in same_weight[weights[idx]]:
+                other = basis.entries[jdx]
                 l = _witness_gap(entry, other)
                 if l is not None:
                     lowers.append((jdx, l))
@@ -223,9 +228,10 @@ class CoefficientTable:
 
 
 def _witness_gap(upper: BasisEntry, lower: BasisEntry):
-    """The multi-index l with gamma(upper) - l.r = gamma(lower), if comparable."""
-    if upper.diagram.weight() != lower.diagram.weight():
-        return None
+    """The multi-index l with gamma(upper) - l.r = gamma(lower), if comparable.
+
+    Comparable entries have equal weight; the caller pairs only those.
+    """
     if coset_leq(lower.shift.gamma, upper.shift.gamma, with_witness=False) is None:
         return None
     gap = tuple(a - b for a, b in zip(upper.witness, lower.witness))

@@ -120,8 +120,17 @@ class ExponentVector:
         return f"ExponentVector({self.n}; {body})"
 
 
+# Bounded memo sizes.  A cold (8,4,0) basis reads 189 distinct chi tables and
+# searches 125 classes; basis plus verify of all 17 n = 3, 4 weights with
+# dimension <= 15 in one process reads 317 and searches 157.  Such runs never
+# evict, and a long-lived process holds at most this many entries.
+CHI_TABLE_CACHE_SIZE = 4096
+CLASS_POINTS_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CHI_TABLE_CACHE_SIZE)
 def chi_table(v: ExponentVector):
-    """Values of every chi_p^q on v, in chi_pairs order."""
+    """Values of every chi_p^q on v, in chi_pairs order (memoized per vector)."""
     return tuple(chi_apply(p, q, v) for p, q in chi_pairs(v.n))
 
 
@@ -259,19 +268,18 @@ def _window_defect(gamma: ExponentVector, delta: ExponentVector):
     if gamma.n != delta.n:
         raise ValueError("dimension mismatch")
     n = gamma.n
-    table_g = {pq: chi_apply(*pq, gamma) for pq in chi_pairs(n)}
-    table_d = {pq: chi_apply(*pq, delta) for pq in chi_pairs(n)}
+    prefixes = [0] * (n + 1)  # prefixes[q]: the sum over levels p' <= p so far
     defect = {}
-    for p in range(1, n + 1):
-        for q in range(p, n + 1):
-            prefix = sum(table_g[(p2, q)] - table_d[(p2, q)] for p2 in range(1, p + 1))
-            if q in (p, n):
-                if prefix != 0:
-                    return None
-            elif prefix < 0:
+    for (p, q), g, d in zip(chi_pairs(n), chi_table(gamma), chi_table(delta)):
+        prefixes[q] += g - d
+        prefix = prefixes[q]
+        if q in (p, n):
+            if prefix != 0:
                 return None
-            else:
-                defect[(p, q)] = prefix
+        elif prefix < 0:
+            return None
+        else:
+            defect[(p, q)] = prefix
     return defect
 
 
@@ -401,54 +409,73 @@ def canonical_shifts(diagrams):
     return [shift for shift, _ in canonical_shift_table(diagrams)]
 
 
+@lru_cache(maxsize=None)
+def _search_plan(n: int):
+    """Coordinate order of the point search with, per step, its dense position,
+    the chi_pairs indices counting its subset, and the one it is the last to
+    count (or None).
+
+    Subsets come largest first, colexicographic within a size: the full set is
+    the only one counted by chi_n^n, and chi_p^q is last counted by {q-p+1..q},
+    so every functional closes at its own step and forces that coordinate.
+    """
+    pairs = chi_pairs(n)
+    positions = subset_position(n)
+    order = sorted(enumerate_subsets(n), key=lambda X: (-len(X), X[::-1]))
+    incidence = [tuple(c for c, (p, q) in enumerate(pairs) if chi(p, q, X)) for X in order]
+    last = {c: step for step, counted in enumerate(incidence) for c in counted}
+    closing = {step: c for c, step in last.items()}
+    assert len(closing) == len(pairs)  # no step closes two functionals
+    return tuple(
+        (positions[X], counted, closing.get(step))
+        for step, (X, counted) in enumerate(zip(order, incidence))
+    )
+
+
+@lru_cache(maxsize=CLASS_POINTS_CACHE_SIZE)
+def _class_points(n: int, target: tuple):
+    """Dense nonnegative vectors x with chi_table(x) == target, sorted."""
+    if any(value < 0 for value in target):
+        return ()
+    plan = _search_plan(n)
+    points = []
+    values = [0] * len(plan)
+    residual = list(target)
+
+    def search(step):
+        if step == len(plan):
+            points.append(tuple(values))
+            return
+        position, counted, closes = plan[step]
+        bound = min(residual[c] for c in counted)
+        if closes is None:
+            candidates = range(bound + 1)
+        else:
+            candidates = (bound,) if residual[closes] == bound else ()
+        for value in candidates:
+            values[position] = value
+            for c in counted:
+                residual[c] -= value
+            search(step + 1)
+            for c in counted:
+                residual[c] += value
+
+    search(0)
+    return tuple(sorted(points))
+
+
 def nonneg_points(gamma: ExponentVector):
     """All nonnegative integer points of the shifted lattice gamma + B.
 
-    Enumerated by depth-first search over the canonical coordinates with
-    residual pruning on every chi constraint; output order is lexicographic
-    in the dense coordinate vector.
+    A depth-first search over the coordinates, largest subset first, with the
+    residual of every chi constraint bounding each coordinate and forcing it
+    where that constraint closes; the points depend only on the chi values
+    of gamma and are memoized per class.  Output order is lexicographic in
+    the dense coordinate vector; each call returns a new list.
     """
     n = gamma.n
-    pairs = chi_pairs(n)
-    target = [chi_apply(p, q, gamma) for p, q in pairs]
-    if any(value < 0 for value in target):
-        return []
     subsets = enumerate_subsets(n)
-    incidence = [
-        [c for c, (p, q) in enumerate(pairs) if chi(p, q, X)] for X in subsets
-    ]
-    last_touch = [max(pos for pos, inc in enumerate(incidence) if c in inc)
-                  for c in range(len(pairs))]
-    points = []
-    values = [0] * len(subsets)
-
-    def search(pos, residual):
-        if pos == len(subsets):
-            if all(x == 0 for x in residual):
-                points.append(
-                    ExponentVector(n, [(subsets[i], values[i]) for i in range(len(subsets))])
-                )
-            return
-        for c in range(len(pairs)):
-            if last_touch[c] < pos and residual[c] != 0:
-                return
-        bound = min(residual[c] for c in incidence[pos])
-        forced = {residual[c] for c in incidence[pos] if last_touch[c] == pos}
-        if len(forced) > 1:
-            return
-        candidates = sorted(forced) if forced else range(bound + 1)
-        for value in candidates:
-            if value > bound:
-                break
-            values[pos] = value
-            next_residual = list(residual)
-            for c in incidence[pos]:
-                next_residual[c] -= value
-            search(pos + 1, next_residual)
-        values[pos] = 0
-
-    search(0, target)
-    return points
+    return [ExponentVector(n, zip(subsets, point)) for point in _class_points(n, chi_table(gamma))]
 
 
 @lru_cache(maxsize=None)
@@ -469,10 +496,11 @@ def coset_points(gamma: ExponentVector):
     n = gamma.n
     rows, inverse = _coordinate_solver(n)
     subsets = enumerate_subsets(n)
+    base = gamma.dense()
     result = []
-    for x in nonneg_points(gamma):
-        difference = x - gamma
-        column = [difference[subsets[r]] for r in rows]
+    for point in _class_points(n, chi_table(gamma)):
+        x = ExponentVector(n, zip(subsets, point))
+        column = [point[r] - base[r] for r in rows]
         t = tuple(sum(row[i] * column[i] for i in range(len(column))) for row in inverse)
         if any(value.denominator != 1 for value in t):
             raise ArithmeticError("non-integral lattice coordinates")

@@ -10,6 +10,7 @@ variable A_X becomes the minor with rows 1..|X| and columns X).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import _linalg
@@ -196,16 +197,33 @@ def subset_to_str(X) -> str:
     return ",".join(str(x) for x in X)
 
 
-def str_to_subset(text: str):
-    return tuple(int(part) for part in text.split(","))
-
-
 def exponent_to_json(exponent: ExponentVector):
     return {subset_to_str(X): v for X, v in exponent.items()}
 
 
+@lru_cache(maxsize=None)
+def _subset_keys(n):
+    return {subset_to_str(X): X for X in enumerate_subsets(n)}
+
+
 def exponent_from_json(n, data) -> ExponentVector:
-    return ExponentVector(n, [(str_to_subset(key), value) for key, value in data.items()])
+    """Parse an object mapping subset keys of 1..n (as written by exponent_to_json) to ints."""
+    keys = _subset_keys(n)
+    if not isinstance(data, dict) or not all(
+        key in keys and isinstance(value, int) and not isinstance(value, bool)
+        for key, value in data.items()
+    ):
+        raise ValueError(f"exp must be an object of subsets of 1..{n} to ints, got {data!r}")
+    return ExponentVector(n, [(keys[key], value) for key, value in data.items()])
+
+
+def _coef_from_json(value) -> Fraction:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"coef must be an int or a fraction string, got {value!r}")
 
 
 def poly_to_json(f: Polynomial):
@@ -217,7 +235,10 @@ def poly_to_json(f: Polynomial):
 
 
 def poly_from_json(n, data) -> Polynomial:
-    terms = [
-        (exponent_from_json(n, item["exp"]), Fraction(item["coef"])) for item in data
-    ]
+    """Parse a list of {exp, coef} objects; raises ValueError on any other shape."""
+    terms = []
+    for item in data:
+        if not isinstance(item, dict) or not {"exp", "coef"} <= item.keys():
+            raise ValueError(f"each term must be an object with exp and coef, got {item!r}")
+        terms.append((exponent_from_json(n, item["exp"]), _coef_from_json(item["coef"])))
     return Polynomial(n, terms)

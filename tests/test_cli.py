@@ -171,6 +171,23 @@ def test_eval_object_without_n_or_terms(tmp_path, capsys):
         ({"n": 2, "terms": []}, '"[[1]]"'),
         ({"n": 2, "terms": []}, "{}"),
         ({"n": 2, "terms": []}, "[[1, 0], 0]"),
+        ({"n": 3, "terms": [5]}, None),
+        ({"n": 3, "terms": [[{"1": 1}, "1"]]}, None),
+        ({"n": 3, "terms": [{"exp": {"1": 1}}]}, None),
+        ({"n": 3, "terms": [{"exp": [1], "coef": "1"}]}, None),
+        ({"n": 3, "terms": [{"exp": {"1": "2"}, "coef": "1"}]}, None),
+        ({"n": 3, "terms": [{"exp": {"1": 1.5}, "coef": "1"}]}, None),
+        ({"n": 3, "terms": [{"exp": {"1": True}, "coef": "1"}]}, None),
+        ({"n": 3, "terms": [{"exp": {"x": 1}, "coef": "1"}]}, None),
+        ({"n": 3, "terms": [{"exp": {"4": 1}, "coef": "1"}]}, None),
+        ({"n": 3, "terms": [{"exp": {"1": 1}, "coef": None}]}, None),
+        ({"n": 3, "terms": [{"exp": {"1": 1}, "coef": 0.5}]}, None),
+        ({"n": 3, "terms": [{"exp": {"1": 1}, "coef": "x"}]}, None),
+        ({"n": 3, "terms": [{"exp": {"1": 1}, "coef": "1/0"}]}, None),
+        ({"n": 3, "terms": []}, "[[null, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+        ({"n": 2, "terms": []}, '[["1", 0], [0, 1]]'),
+        ({"n": 2, "terms": []}, "[[true, 0], [0, 1]]"),
+        ({"n": 2, "terms": []}, "[[Infinity, 0], [0, 1]]"),
     ],
 )
 def test_eval_rejects_wrongly_typed_input(document, matrix, tmp_path, capsys):

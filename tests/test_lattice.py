@@ -16,6 +16,7 @@ from gtagkz.lattice import (
     ExponentVector,
     canonical_shift_table,
     canonical_shifts,
+    chi_table,
     coset_leq,
     coset_points,
     in_lattice,
@@ -26,6 +27,7 @@ from gtagkz.lattice import (
     r_shift,
     shift_from_diagram,
 )
+from gtagkz.series import feasible_down_shifts
 
 
 def brute_force_points(gamma):
@@ -174,6 +176,48 @@ def test_nonneg_points_against_brute_force(top):
         assert nonneg_points(gamma) == brute_force_points(gamma)
 
 
+@pytest.mark.parametrize("top", [(4, 2, 0), (3, 1, 0, 0), (1, 1, 0, 0, 0)])
+def test_nonneg_points_against_brute_force_on_pipeline_classes(top):
+    # every class gamma - u.r that agkz_solution sums a Horn-type series over
+    n = len(top)
+    for shift in canonical_shifts(enumerate_diagrams(top)):
+        for u in feasible_down_shifts(shift):
+            gamma = shift.gamma - r_shift(n, u)
+            assert nonneg_points(gamma) == brute_force_points(gamma)
+
+
+def test_nonneg_points_same_class_fresh_lists():
+    d = GTDiagram(((2, 1, 0, 0), (2, 1, 0), (2, 0), (1,)))
+    gamma = shift_from_diagram(d).gamma
+    v = lattice_basis(4)[2].v
+    first = nonneg_points(gamma)
+    expected = list(first)
+    assert len(expected) > 1
+    first.reverse()
+    first.append(gamma)
+    assert nonneg_points(gamma + v) == expected
+    assert nonneg_points(gamma) == expected
+    # the coordinates t still follow the representative, not the cached class
+    moved = coset_points(gamma + v)
+    assert [x for x, _ in moved] == expected
+    for (_, t), (_, t_moved) in zip(coset_points(gamma), moved):
+        assert t_moved == tuple(value - (alpha == 2) for alpha, value in enumerate(t))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_chi_table_matches_chi_apply_on_signed_vectors(n):
+    subsets = enumerate_subsets(n)
+    vectors = [vec.v for vec in lattice_basis(n)] + [vec.r for vec in lattice_basis(n)]
+    vectors += [
+        ExponentVector(n, [(X, (-1) ** pos * (pos % 4 + seed)) for pos, X in enumerate(subsets)])
+        for seed in range(3)
+    ]
+    for vec in vectors:
+        expected = tuple(chi_apply(p, q, vec) for p, q in chi_pairs(n))
+        assert chi_table(vec) == expected
+        assert chi_table(ExponentVector(n, vec.items())) == expected
+
+
 def test_nonneg_points_empty_for_non_diagram_array():
     # chi values of a triangular array violating betweenness (row entry above
     # its upper neighbor): no nonnegative vector can realize them
@@ -181,6 +225,7 @@ def test_nonneg_points_empty_for_non_diagram_array():
     assert chi_apply(1, 1, bad) == 2
     assert chi_apply(1, 2, bad) == 1
     assert nonneg_points(bad) == []
+    assert nonneg_points(-ExponentVector.unit(3, (1, 2, 3))) == []
 
 
 def test_nonneg_points_representative_independent():
