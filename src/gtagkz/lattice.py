@@ -480,15 +480,21 @@ def nonneg_points(gamma: ExponentVector):
 
 @lru_cache(maxsize=None)
 def _coordinate_solver(n: int):
-    """Pivot rows and inverted minor used to express x - gamma in the basis."""
+    """Pivot rows and the integer inverse of their minor, to express x - gamma in the basis.
+
+    The inverse is unimodular for the lattice bases built here; a non-integral
+    entry would make lattice coordinates fractional and raises ArithmeticError.
+    """
     basis = lattice_basis(n)
     if not basis:
         return (), ()
     subsets = enumerate_subsets(n)
     matrix = [[vec.v[X] for vec in basis] for X in subsets]
     rows = _linalg.independent_rows(matrix, len(basis))
-    minor = [matrix[r] for r in rows]
-    return tuple(rows), tuple(tuple(row) for row in _linalg.inverse(minor))
+    inverse = _linalg.inverse([matrix[r] for r in rows])
+    if any(value.denominator != 1 for row in inverse for value in row):
+        raise ArithmeticError(f"non-integral lattice coordinate solver for n = {n}")
+    return tuple(rows), tuple(tuple(int(value) for value in row) for row in inverse)
 
 
 def coset_points(gamma: ExponentVector):
@@ -501,10 +507,7 @@ def coset_points(gamma: ExponentVector):
     for point in _class_points(n, chi_table(gamma)):
         x = ExponentVector(n, zip(subsets, point))
         column = [point[r] - base[r] for r in rows]
-        t = tuple(sum(row[i] * column[i] for i in range(len(column))) for row in inverse)
-        if any(value.denominator != 1 for value in t):
-            raise ArithmeticError("non-integral lattice coordinates")
-        t = tuple(int(value) for value in t)
+        t = tuple(sum(a * b for a, b in zip(row, column)) for row in inverse)
         assert gamma + v_shift(n, t) == x
         result.append((x, t))
     return result

@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from . import _linalg
 from .combinatorics import enumerate_subsets
 from .lattice import ExponentVector
 
@@ -169,15 +168,35 @@ def evaluate_at_ones(f: Polynomial) -> Fraction:
     return sum(f.terms.values(), Fraction(0))
 
 
+def _exact(entry):
+    if type(entry) is int:
+        return entry
+    value = Fraction(entry)
+    return value.numerator if value.denominator == 1 else value
+
+
 def minor_values(matrix, n):
-    """Exact minors det(rows 1..|X|, columns X) for every subset X."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    """Exact minors det(rows 1..|X|, columns X) for every nonempty subset X.
+
+    One pass over the subsets, smallest first, by Laplace expansion along the
+    last row of the leading block: A_X = sum_j (-1)^(|X|-1-j) a[|X|-1][x_j - 1]
+    A_{X minus x_j}, from A_{} = 1.  That is n 2^(n-1) products per matrix.
+    Integral entries stay Python ints, so an integer matrix has integer minors;
+    only non-integral entries (Fraction, float) become Fractions, exactly.
+    """
+    rows = [[_exact(x) for x in row] for row in matrix]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"expected a {n}x{n} matrix")
-    values = {}
+    values = {(): 1}
     for X in enumerate_subsets(n):
-        block = [[rows[r][c - 1] for c in X] for r in range(len(X))]
-        values[X] = _linalg.det(block)
+        row = rows[len(X) - 1]
+        value = 0
+        sign = 1 if len(X) % 2 else -1
+        for j, x in enumerate(X):
+            value += sign * row[x - 1] * values[X[:j] + X[j + 1 :]]
+            sign = -sign
+        values[X] = value
+    del values[()]
     return values
 
 
@@ -186,10 +205,10 @@ def evaluate_minors(f: Polynomial, matrix) -> Fraction:
     values = minor_values(matrix, f.n)
     total = Fraction(0)
     for exponent, coefficient in f.terms.items():
-        term = coefficient
+        monomial = 1
         for X, power in exponent.items():
-            term *= values[X] ** power
-        total += term
+            monomial *= values[X] ** power
+        total += coefficient * monomial
     return total
 
 

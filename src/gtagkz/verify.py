@@ -65,6 +65,8 @@ class VerifyContext:
     """Lazily built shared state for the checks over one representation."""
 
     def __init__(self, top_row, seed=0, matrix_count=20):
+        if matrix_count < 1:
+            raise ValueError(f"the number of matrices must be at least 1, got {matrix_count}")
         self.top_row = tuple(top_row)
         self.n = len(self.top_row)
         self.seed = seed
@@ -160,12 +162,13 @@ def check_pairing_invariance(ctx: VerifyContext, trials=10) -> CheckResult:
 
 
 def _random_combination(polys, rng):
-    total = Polynomial.zero(polys[0].n)
+    """Sum of the polys with coefficients rng.randint(-3, 3), drawn in order."""
+    terms = []
     for poly in polys:
         coefficient = rng.randint(-3, 3)
         if coefficient:
-            total = total + poly.scale(coefficient)
-    return total
+            terms.extend((e, coefficient * c) for e, c in poly.terms.items())
+    return Polynomial(polys[0].n, terms)
 
 
 def check_orthogonality(ctx: VerifyContext) -> CheckResult:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gtagkz.cli import main
+from gtagkz.verify import default_checks
 
 
 def run(capsys, *argv):
@@ -92,6 +93,22 @@ def test_verify_gl3_all_pass(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "gl3-closed-form" in out
+
+
+@pytest.mark.parametrize("weight", ["3,2,1,0", "2,1,0,0,0"])
+def test_verify_full_default_checks_pass(capsys, weight):
+    code, out, _ = run(capsys, "verify", weight)
+    assert code == 0
+    assert out.count("PASS") == len(default_checks(len(weight.split(","))))
+    assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_rejects_matrix_count_below_one(capsys, count):
+    code, out, err = run(capsys, "verify", "2,1,0", "--matrices", count)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_selected_check(capsys):

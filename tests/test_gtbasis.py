@@ -1,6 +1,5 @@
 """Gram matrices, orthogonalization coefficients, and the orthogonal basis."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -21,17 +20,7 @@ from gtagkz.gtbasis import (
 from gtagkz.lattice import lattice_basis
 from gtagkz.polyengine import evaluate_minors, pair
 from gtagkz.series import gamma_series
-from gtagkz import _linalg
-
-
-def seeded_matrices(n, seed, count):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if _linalg.det(m) != 0:
-            out.append(m)
-    return out
+from gtagkz.verify import seeded_matrices
 
 
 def lagrange_orthogonalize(basis):

@@ -18,6 +18,7 @@ from gtagkz.operators import (
 )
 from gtagkz.polyengine import Polynomial, diff_apply, evaluate_minors, pair
 from gtagkz.series import agkz_solution, gamma_series
+from gtagkz.verify import _random_combination, seeded_matrices
 from gtagkz import _linalg
 
 
@@ -27,16 +28,6 @@ def random_span_element(polys, rng):
         c = rng.randint(-3, 3)
         if c:
             out = out + p.scale(c)
-    return out
-
-
-def seeded_matrices(n, seed, count):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if _linalg.det(m) != 0:
-            out.append(m)
     return out
 
 
@@ -89,6 +80,15 @@ def test_pairing_invariance_under_transposed_generators():
         g = random_span_element(polys, rng)
         i, j = rng.randint(1, 4), rng.randint(1, 4)
         assert pair(e_action(i, j, f), g) == pair(f, e_action(j, i, g))
+
+
+def test_random_combination_matches_repeated_sum():
+    polys = [e.agkz_poly for e in build_basis((2, 1, 0, 0)).entries]
+    for seed in range(5):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert _random_combination(polys, rng) == random_span_element(polys, reference)
+        assert rng.random() == reference.random()
 
 
 def test_generator_action_stays_in_span():

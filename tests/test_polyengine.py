@@ -7,6 +7,8 @@ from math import factorial
 
 import pytest
 
+from gtagkz import _linalg
+from gtagkz.combinatorics import enumerate_subsets
 from gtagkz.lattice import ExponentVector
 from gtagkz.polyengine import (
     Polynomial,
@@ -26,8 +28,6 @@ def ev(n, *pairs):
 
 
 def random_poly(n, rng, terms=4, max_power=2):
-    from gtagkz.combinatorics import enumerate_subsets
-
     subsets = enumerate_subsets(n)
     out = Polynomial.zero(n)
     for _ in range(terms):
@@ -102,6 +102,32 @@ def test_minors_of_identity():
     assert values[(2,)] == 0  # row 1, column 2 of the identity
     full = Polynomial.variable(n, (1, 2, 3, 4))
     assert evaluate_minors(full, identity) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minor_values_match_determinants(n):
+    rng = random.Random(n)
+    for _ in range(30):
+        matrix = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        values = minor_values(matrix, n)
+        assert list(values) == list(enumerate_subsets(n))
+        for X, value in values.items():
+            block = [[matrix[r][c - 1] for c in X] for r in range(len(X))]
+            assert type(value) is int
+            assert value == _linalg.det(block)
+
+
+def test_evaluate_minors_exact_on_fraction_and_float_entries():
+    mixed = [[0.5, Fraction(1, 3), 2], [-1.25, 3, Fraction(-2, 7)], [4, 0.75, 1e-3]]
+    exact = [[Fraction(x) for x in row] for row in mixed]
+    values = minor_values(mixed, 3)
+    assert values == minor_values(exact, 3)
+    for X, value in values.items():
+        assert value == _linalg.det([[exact[r][c - 1] for c in X] for r in range(len(X))])
+    rng = random.Random(11)
+    for _ in range(5):
+        f = random_poly(3, rng)
+        assert evaluate_minors(f, mixed) == evaluate_minors(f, exact)
 
 
 def test_evaluate_minors_is_ring_homomorphism():
