@@ -62,42 +62,25 @@ def rank(rows) -> int:
     return r
 
 
-def solve(rows, rhs):
-    """Solve a square system exactly; returns None if the matrix is singular."""
-    a = _copy(rows)
-    m = len(a)
-    b = [Fraction(x) for x in rhs]
-    if len(b) != m:
-        raise ValueError("dimension mismatch")
+def inverse(rows):
+    """Exact inverse of a square matrix by Gauss-Jordan elimination; raises on singular input."""
+    m = len(rows)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
+        for i, row in enumerate(rows)
+    ]
     for col in range(m):
         pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
         if pivot is None:
-            return None
+            raise ZeroDivisionError("matrix is singular")
         a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
         for r in range(m):
             if r != col and a[r][col] != 0:
                 factor = a[r][col]
-                for c in range(col, m):
-                    a[r][c] -= factor * a[col][c]
-                b[r] -= factor * b[col]
-    return b
-
-
-def inverse(rows):
-    """Exact inverse of a square matrix; raises on singular input."""
-    m = len(rows)
-    cols = []
-    for j in range(m):
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(m)]
-        col = solve(rows, rhs)
-        if col is None:
-            raise ZeroDivisionError("matrix is singular")
-        cols.append(col)
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [row[m:] for row in a]
 
 
 def independent_rows(rows, target_rank):

@@ -27,6 +27,10 @@ from .verify import run_checks
 
 SCHEMA = "gt-agkz/1"
 
+# Largest n accepted where the 2^n - 1 subsets of 1..n are enumerated: lattice
+# 12 takes about 1 s, lattice 14 about 5 s, and each step doubles the subsets.
+MAX_N = 12
+
 
 class UsageError(Exception):
     pass
@@ -44,6 +48,11 @@ def _parse_weight(text):
     return values
 
 
+def _check_n(n):
+    if n > MAX_N:
+        raise UsageError(f"n must be at most {MAX_N}, got {n}")
+
+
 def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
@@ -58,6 +67,7 @@ def cmd_lattice(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
+    _check_n(n)
     basis = lattice_basis(n)
     check = all(in_lattice(vec.v) for vec in basis)
     if args.format == "json":
@@ -157,7 +167,9 @@ def _basis_document(top_row):
 
 
 def cmd_basis(args) -> int:
-    document = _basis_document(_parse_weight(args.top_row))
+    weight = _parse_weight(args.top_row)
+    _check_n(len(weight))
+    document = _basis_document(weight)
     if args.format == "json":
         _emit(json.dumps(document, indent=2), args.out)
     else:
@@ -175,6 +187,7 @@ def cmd_basis(args) -> int:
 
 def cmd_gram(args) -> int:
     weight, _ = normalize_weight(_parse_weight(args.top_row))
+    _check_n(len(weight))
     basis = build_basis(weight)
     from .gtbasis import gram_matrix
 
@@ -197,6 +210,7 @@ def cmd_gram(args) -> int:
 
 def cmd_verify(args) -> int:
     weight, _ = normalize_weight(_parse_weight(args.top_row))
+    _check_n(len(weight))
     names = None
     if args.checks:
         names = [part.strip() for part in args.checks.split(",") if part.strip()]
@@ -238,6 +252,7 @@ def cmd_eval(args) -> int:
     n, terms = document["n"], document["terms"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"n must be an integer >= 1, got {json.dumps(n)}")
+    _check_n(n)
     if not isinstance(terms, list):
         raise UsageError(f"terms must be a list, got {json.dumps(terms)}")
     poly = poly_from_json(n, terms)

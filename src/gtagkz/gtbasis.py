@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
-from . import _linalg
 from .combinatorics import GTDiagram, enumerate_diagrams
 from .lattice import (
     ShiftVector,
@@ -27,13 +27,12 @@ from .lattice import (
 from .polyengine import Polynomial, evaluate_at_ones, pair
 from .series import (
     agkz_solution,
-    f_pair_series,
+    f_pair_terms,
     feasible_down_shifts,
     feasible_up_shifts,
     gamma_series,
     j_series,
     multi_factorial,
-    rising,
 )
 
 
@@ -96,32 +95,29 @@ def gram_matrix(basis: RepresentationBasis):
 
 
 def coeff_C(delta, l) -> Fraction:
-    """Orthogonalization coefficient: the paired series at delta - l.r, at A = 1."""
+    """Orthogonalization coefficient: the paired series at delta - l.r, at A = 1.
+
+    The value at 1 is the coefficient sum, so this sums the coefficients of
+    the series' terms as they are generated and builds no polynomial.
+    """
     vector = getattr(delta, "gamma", delta)
     n = vector.n
     l = tuple(l)
     zero = (0,) * len(l)
-    return evaluate_at_ones(f_pair_series(vector - r_shift(n, l), l, zero))
+    return sum((c for _, c in f_pair_terms(vector - r_shift(n, l), l, zero)), Fraction(0))
 
 
 @lru_cache(maxsize=None)
 def _pochhammer_expansion(a: int, b: int):
     """Coefficients k_c with (t+1)..(t+a) (t+1)..(t+b) = sum_c k_c (t+1)..(t+c).
 
-    Solved exactly from enough sample points; c runs over max(a,b)..a+b.
+    Closed form: k_(a+b-j) = (-1)^j C(a, j) C(b, j) j! for j = 0..min(a, b),
+    so c runs over max(a,b)..a+b.
     """
-    top = a + b
-    samples = list(range(top + 1))
-    matrix = [[rising(t, c) for c in range(top + 1)] for t in samples]
-    rhs = [rising(t, a) * rising(t, b) for t in samples]
-    solution = _linalg.solve(matrix, rhs)
-    table = {}
-    for c, value in enumerate(solution):
-        if value:
-            if not (max(a, b) <= c <= a + b):
-                raise ArithmeticError("expansion outside the expected range")
-            table[c] = value
-    return table
+    return {
+        a + b - j: (-1) ** j * comb(a, j) * comb(b, j) * factorial(j)
+        for j in range(min(a, b) + 1)
+    }
 
 
 def coeff_C_alt(delta, l) -> Fraction:
@@ -251,13 +247,14 @@ def gt_function(delta, basis: RepresentationBasis, table: CoefficientTable | Non
     if idx is None:
         raise KeyError("shift vector not in basis")
     n = basis.n
-    total = Polynomial.zero(n)
+    terms = []
     entry = basis.entries[idx]
     for jdx, l in table.lowers[idx]:
         lower = basis.entries[jdx]
         assert entry.shift.gamma - r_shift(n, l) == lower.shift.gamma
-        total = total + lower.agkz_poly.scale(table.S[(idx, l)])
-    return total
+        scale = table.S[(idx, l)]
+        terms.extend((x, scale * c) for x, c in lower.agkz_poly.terms.items())
+    return Polynomial(n, terms)
 
 
 def gt_basis(basis: RepresentationBasis):

@@ -216,11 +216,6 @@ def r_shift(n, s) -> ExponentVector:
     return combine([b.r for b in lattice_basis(n)], s, n)
 
 
-def v_shift(n, t) -> ExponentVector:
-    """The vector sum(t_alpha * v^alpha)."""
-    return combine([b.v for b in lattice_basis(n)], t, n)
-
-
 @dataclass(frozen=True)
 class ShiftVector:
     """An integer solution of chi_p^q(gamma) = m_{p,q} for a diagram."""
@@ -348,7 +343,11 @@ def r_routes(gamma: ExponentVector, delta: ExponentVector):
 
 
 def comparability_components(shifts):
-    """Partition shift vectors into connected components of the order."""
+    """Partition shift vectors into connected components of the order.
+
+    Comparable classes have equal weight (the window defect is None across
+    weights), so only shifts of one diagram weight are compared.
+    """
     count = len(shifts)
     parent = list(range(count))
 
@@ -358,14 +357,18 @@ def comparability_components(shifts):
             a = parent[a]
         return a
 
+    same_weight = {}
+    for a, shift in enumerate(shifts):
+        same_weight.setdefault(shift.diagram.weight(), []).append(a)
     related = [[False] * count for _ in range(count)]
-    for a in range(count):
-        for b in range(count):
-            if a != b and coset_leq(shifts[a].gamma, shifts[b].gamma, with_witness=False) is not None:
-                related[a][b] = True
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+    for group in same_weight.values():
+        for a in group:
+            for b in group:
+                if a != b and coset_leq(shifts[a].gamma, shifts[b].gamma, with_witness=False) is not None:
+                    related[a][b] = True
+                    ra, rb = find(a), find(b)
+                    if ra != rb:
+                        parent[ra] = rb
     components = {}
     for a in range(count):
         components.setdefault(find(a), []).append(a)
@@ -497,17 +500,36 @@ def _coordinate_solver(n: int):
     return tuple(rows), tuple(tuple(int(value) for value in row) for row in inverse)
 
 
+@lru_cache(maxsize=None)
+def _dense_directions(n: int):
+    """The lattice basis vectors v in dense coordinates, each as its nonzero
+    (position, value) pairs."""
+    return tuple(
+        tuple((position, value) for position, value in enumerate(vec.v.dense()) if value)
+        for vec in lattice_basis(n)
+    )
+
+
 def coset_points(gamma: ExponentVector):
-    """Pairs (x, t) over nonneg_points(gamma) with x = gamma + t.v exactly."""
+    """Pairs (x, t) over nonneg_points(gamma) with x = gamma + t.v exactly.
+
+    Every point is checked on dense int tuples: gamma's dense vector plus
+    sum t_b v_b over the dense directions must give the point back.
+    """
     n = gamma.n
     rows, inverse = _coordinate_solver(n)
+    directions = _dense_directions(n)
     subsets = enumerate_subsets(n)
     base = gamma.dense()
     result = []
     for point in _class_points(n, chi_table(gamma)):
-        x = ExponentVector(n, zip(subsets, point))
         column = [point[r] - base[r] for r in rows]
         t = tuple(sum(a * b for a, b in zip(row, column)) for row in inverse)
-        assert gamma + v_shift(n, t) == x
-        result.append((x, t))
+        check = list(base)
+        for coefficient, direction in zip(t, directions):
+            if coefficient:
+                for position, value in direction:
+                    check[position] += coefficient * value
+        assert tuple(check) == point
+        result.append((ExponentVector(n, zip(subsets, point)), t))
     return result

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .combinatorics import GTDiagram, chi_apply
@@ -63,11 +64,15 @@ def j_series(gamma: ExponentVector, s) -> Polynomial:
     only on its class mod B.
     """
     vector = _gamma_of(gamma)
+    return Polynomial(vector.n, _j_terms(vector, s))
+
+
+def _j_terms(vector: ExponentVector, s):
+    """The terms (x, coefficient) of j_series(vector, s), one per weighted coset point."""
     s = tuple(s)
     k = len(lattice_basis(vector.n))
     if len(s) != k or any(part < 0 for part in s):
         raise ValueError(f"s must be a length-{k} nonnegative multi-index")
-    terms = []
     for x, t in coset_points(vector):
         weight = 1
         for t_part, s_part in zip(t, s):
@@ -75,8 +80,7 @@ def j_series(gamma: ExponentVector, s) -> Polynomial:
             if weight == 0:
                 break
         if weight:
-            terms.append((x, Fraction(weight, exponent_factorial(x))))
-    return Polynomial(vector.n, terms)
+            yield x, Fraction(weight, exponent_factorial(x))
 
 
 def _pattern_rows(top, sums):
@@ -93,6 +97,13 @@ def _pattern_rows(top, sums):
                 yield (top,) + rest
 
 
+# Bounded memo size.  A cold (8,4,0) basis asks 350 times for the patterns of
+# 61 keys; basis plus verify of all 17 n = 3, 4 weights with dimension <= 15
+# in one process asks 1150 times for 200.  Such runs never evict, and a
+# long-lived process holds at most this many entries.
+FEASIBLE_CLASS_CACHE_SIZE = 1024
+
+
 def _feasible_classes(vector: ExponentVector):
     """Representatives of the classes with vector's top row and weight that hold a
     nonnegative point.
@@ -104,14 +115,20 @@ def _feasible_classes(vector: ExponentVector):
     n = vector.n
     full = chi_apply(n, n, vector)
     if full < 0:
-        return []
+        return ()
     top = tuple(chi_apply(p, n, vector) - full for p in range(1, n + 1))
-    sums = [sum(chi_apply(p, q, vector) for p in range(1, q + 1)) - q * full for q in range(n)]
+    sums = tuple(sum(chi_apply(p, q, vector) for p in range(1, q + 1)) - q * full for q in range(n))
+    return _pattern_classes(n, top, sums, full)
+
+
+@lru_cache(maxsize=FEASIBLE_CLASS_CACHE_SIZE)
+def _pattern_classes(n: int, top: tuple, sums: tuple, full: int):
+    """The class representatives of _feasible_classes, memoized per key."""
     raise_full = full * ExponentVector.unit(n, tuple(range(1, n + 1)))
-    return [
+    return tuple(
         shift_from_diagram(GTDiagram(rows)).gamma + raise_full
         for rows in _pattern_rows(top, sums)
-    ]
+    )
 
 
 def feasible_down_shifts(gamma):
@@ -143,12 +160,11 @@ def agkz_solution(gamma) -> Polynomial:
     """
     vector = _gamma_of(gamma)
     n = vector.n
-    total = Polynomial.zero(n)
+    terms = []
     for s in feasible_down_shifts(vector):
-        term = j_series(vector - r_shift(n, s), s)
-        sign = -1 if sum(s) % 2 else 1
-        total = total + term.scale(Fraction(sign, multi_factorial(s)))
-    return total
+        scale = Fraction(-1 if sum(s) % 2 else 1, multi_factorial(s))
+        terms.extend((x, scale * c) for x, c in _j_terms(vector - r_shift(n, s), s))
+    return Polynomial(n, terms)
 
 
 def _multi_add(a, b):
@@ -163,12 +179,16 @@ def j_pair_series(delta: ExponentVector, a, b) -> Polynomial:
     alternating sum built on top of it.
     """
     vector = _gamma_of(delta)
+    return Polynomial(vector.n, _j_pair_terms(vector, a, b))
+
+
+def _j_pair_terms(vector: ExponentVector, a, b):
+    """The terms (x, coefficient) of j_pair_series(vector, a, b), one per weighted coset point."""
     a, b = tuple(a), tuple(b)
     k = len(lattice_basis(vector.n))
     if len(a) != k or len(b) != k or min(a + b, default=0) < 0:
         raise ValueError(f"a and b must be length-{k} nonnegative multi-indices")
     norm = multi_factorial(a) * multi_factorial(b)
-    terms = []
     for x, t in coset_points(vector):
         weight = 1
         for t_part, a_part, b_part in zip(t, a, b):
@@ -176,8 +196,7 @@ def j_pair_series(delta: ExponentVector, a, b) -> Polynomial:
             if weight == 0:
                 break
         if weight:
-            terms.append((x, Fraction(weight, exponent_factorial(x) * norm)))
-    return Polynomial(vector.n, terms)
+            yield x, Fraction(weight, exponent_factorial(x) * norm)
 
 
 def f_pair_series(delta: ExponentVector, l1, l2) -> Polynomial:
@@ -191,13 +210,20 @@ def f_pair_series(delta: ExponentVector, l1, l2) -> Polynomial:
     terms are missing and the exact pairing must be used instead.)
     """
     vector = _gamma_of(delta)
+    return Polynomial(vector.n, f_pair_terms(vector, l1, l2))
+
+
+def f_pair_terms(delta: ExponentVector, l1, l2):
+    """The unmerged terms (x, coefficient) of f_pair_series(delta, l1, l2).
+
+    Their coefficient sum is the value of the series at A = 1.
+    """
+    vector = _gamma_of(delta)
     n = vector.n
     l1, l2 = tuple(l1), tuple(l2)
     if any(min(x, y) != 0 for x, y in zip(l1, l2)):
         raise ValueError("need min(l1, l2) = 0 componentwise")
     sign = -1 if (sum(l1) + sum(l2)) % 2 else 1
-    total = Polynomial.zero(n)
     for u in feasible_down_shifts(vector):
-        term = j_pair_series(vector - r_shift(n, u), _multi_add(u, l1), _multi_add(u, l2))
-        total = total + term.scale(sign)
-    return total
+        for x, c in _j_pair_terms(vector - r_shift(n, u), _multi_add(u, l1), _multi_add(u, l2)):
+            yield x, sign * c

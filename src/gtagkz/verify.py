@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from . import _linalg
 from .combinatorics import chi_pairs
 from .gtbasis import (
     AmbiguousSupportError,
@@ -32,6 +31,7 @@ from .polyengine import (
     diff_apply,
     evaluate_at_ones,
     evaluate_minors,
+    minor_values,
     pair,
 )
 from .series import (
@@ -51,12 +51,16 @@ class CheckResult:
 
 
 def seeded_matrices(n, seed, count, low=-5, high=5):
-    """Deterministic nonsingular integer matrices with entries in [low, high]."""
+    """Deterministic nonsingular integer matrices with entries in [low, high].
+
+    A candidate is kept when its full-set minor, its determinant, is nonzero.
+    """
     rng = random.Random(seed)
+    full = tuple(range(1, n + 1))
     matrices = []
     while len(matrices) < count:
         candidate = [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
-        if _linalg.det(candidate) != 0:
+        if minor_values(candidate, n)[full] != 0:
             matrices.append(candidate)
     return matrices
 
@@ -243,17 +247,14 @@ def osnf_rhs(gamma, omega) -> Polynomial:
     for vec in lattice_basis(n):
         shifted = shifted + vec.v
     base = omega - gamma
-    total = Polynomial.zero(n)
+    terms = []
     for s in osnf_shifts(base):
         constant = evaluate_at_ones(j_series(shifted, s))
         if constant == 0:
             continue
-        tail = agkz_solution(base - r_shift(n, s))
-        if tail.is_zero():
-            continue
-        sign = -1 if sum(s) % 2 else 1
-        total = total + tail.scale(Fraction(sign, multi_factorial(s)) * constant)
-    return total
+        scale = Fraction(-1 if sum(s) % 2 else 1, multi_factorial(s)) * constant
+        terms.extend((x, scale * c) for x, c in agkz_solution(base - r_shift(n, s)).terms.items())
+    return Polynomial(n, terms)
 
 
 def osnf_shifts(base):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from gtagkz.cli import main
+from gtagkz import combinatorics, lattice, polyengine
+from gtagkz.cli import MAX_N, main
 from gtagkz.verify import default_checks
 
 
@@ -228,3 +229,33 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, _, _ = run(capsys, "lattice", "3", "--format", "json", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["k"] == 1
+
+
+@pytest.mark.parametrize("n", [MAX_N + 1, 30])
+@pytest.mark.parametrize("command", ["lattice", "basis", "gram", "verify", "eval"])
+def test_n_above_the_limit_is_a_usage_error(command, n, tmp_path, monkeypatch, capsys):
+    """Refused before any subset of 1..n is enumerated."""
+
+    def refuse(n):
+        raise AssertionError(f"enumerate_subsets({n}) was called")
+
+    for module in (combinatorics, lattice, polyengine):
+        monkeypatch.setattr(module, "enumerate_subsets", refuse)
+    if command == "lattice":
+        argv = [str(n)]
+    elif command == "eval":
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"n": n, "terms": []}))
+        argv = [str(path)]
+    else:
+        argv = [",".join(["1"] + ["0"] * (n - 1))]
+    code, out, err = run(capsys, command, *argv)
+    assert_usage_error(code, err)
+    assert out == ""
+    assert f"n must be at most {MAX_N}, got {n}" in err
+
+
+def test_diagrams_is_not_limited_in_n(capsys):
+    code, out, _ = run(capsys, "diagrams", ",".join(["1"] + ["0"] * MAX_N), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["count"] == MAX_N + 1

@@ -1,0 +1,32 @@
+"""Whole-document golden test: the bytes of `basis W --format json`.
+
+The digests are the sha256 of the full stdout of `gt-agkz basis W --format
+json`, recorded from commit b2dc021.  A change that moves any byte of these
+documents fails here; re-record a digest only for an intended output change,
+and say so.
+"""
+
+import hashlib
+
+import pytest
+
+from gtagkz.cli import main
+
+GOLDEN = {
+    "2,1,0": "026c8d2aad8bc5089d6a645ceebdff5aa1a5e54c17ed3bf8c2a43f3b621bded0",
+    "4,2,0": "a9e20cde413a13a285a08291392f1702ceab93fef994733391b77b57bc36fa17",
+    "6,3,0": "7b580885e631d9c46c53417b9ba12b1541f36ff4904d9c963c5acfdda74439ff",
+    "8,4,0": "b4d43d6bc1e1cf84fb71e0a9669d7071494eb4ab6d4116a8d3073b6e34384cb0",
+    "2,1,0,0": "bb02c39544dcd942c484b43845a97ce14a52e101c9f19762561fb5cca2d57729",
+    "2,2,1,0": "a3f97ff523dd14bfba9cd86a2610001663cf8f2640d1f5c95d59524247fe495f",
+    "3,1,0,0": "c7a9c7183c8aa65a0dc86a6c0f19eded196b0605ae2598369b86c99da3da5496",
+    "3,2,1,0": "273206aeecd40b4f0453892cc307d105efb0ff7b2ceba78bf499dbaa5b3f4ca0",
+    "2,1,0,0,0": "2801d4951088622798eb5482eaa506e954daf7494a086e21ee5b13cd85ec90ca",
+}
+
+
+@pytest.mark.parametrize("weight", sorted(GOLDEN))
+def test_basis_document_is_byte_identical(weight, capsys):
+    assert main(["basis", weight, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[weight]

@@ -7,6 +7,7 @@ import pytest
 from gtagkz.combinatorics import GTDiagram, highest_diagram
 from gtagkz.gtbasis import (
     CoefficientTable,
+    _pochhammer_expansion,
     DegenerateMetricError,
     build_basis,
     canonical_form,
@@ -17,9 +18,9 @@ from gtagkz.gtbasis import (
     gt_function,
     weyl_dimension,
 )
-from gtagkz.lattice import lattice_basis
-from gtagkz.polyengine import evaluate_minors, pair
-from gtagkz.series import gamma_series
+from gtagkz.lattice import lattice_basis, r_shift
+from gtagkz.polyengine import evaluate_at_ones, evaluate_minors, pair
+from gtagkz.series import f_pair_series, gamma_series, rising
 from gtagkz.verify import seeded_matrices
 
 
@@ -130,6 +131,28 @@ def test_coeff_dual_route_agreement(top):
     table = CoefficientTable(basis)
     for (idx, l), value in table.C.items():
         assert coeff_C_alt(basis.entries[idx].shift, l) == value
+
+
+@pytest.mark.parametrize("top", [(8, 4, 0), (3, 2, 1, 0), (2, 1, 0, 0, 0)])
+def test_coeff_C_is_the_paired_series_at_ones(top):
+    """The coefficient sum equals the value at 1 of the built polynomial."""
+    basis = build_basis(top)
+    table = CoefficientTable(basis)
+    for idx, l in table.C:
+        shift = basis.entries[idx].shift
+        delta = shift.gamma - r_shift(basis.n, l)
+        expected = evaluate_at_ones(f_pair_series(delta, l, (0,) * len(l)))
+        assert coeff_C(shift, l) == table.C[(idx, l)] == expected
+
+
+@pytest.mark.parametrize("a", range(8))
+def test_pochhammer_expansion_closed_form(a):
+    """rising(t,a) rising(t,b) = sum_j (-1)^j C(a,j) C(b,j) j! rising(t, a+b-j)."""
+    for b in range(8):
+        table = _pochhammer_expansion(a, b)
+        assert set(table) == set(range(max(a, b), a + b + 1))
+        for t in range(-3, 20):
+            assert rising(t, a) * rising(t, b) == sum(k * rising(t, c) for c, k in table.items())
 
 
 def test_coeff_series_equals_exact_pairing_without_parallel_routes():

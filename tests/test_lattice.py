@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from gtagkz import lattice
+
 from gtagkz.combinatorics import (
     GTDiagram,
     chi_apply,
@@ -17,6 +19,7 @@ from gtagkz.lattice import (
     canonical_shift_table,
     canonical_shifts,
     chi_table,
+    comparability_components,
     coset_leq,
     coset_points,
     in_lattice,
@@ -245,6 +248,48 @@ def test_coset_points_recover_integral_coordinates():
         for coeff, vec in zip(t, lattice_basis(n)):
             total = total + coeff * vec.v
         assert total == x
+
+
+def test_coset_points_check_fires_on_a_wrong_inverse(monkeypatch):
+    """The dense per-point check catches coordinates that do not rebuild the point."""
+    gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma
+    assert any(any(t) for _, t in coset_points(gamma))
+    rows, inverse = lattice._coordinate_solver(3)
+    wrong = tuple(tuple(-value for value in row) for row in inverse)
+    monkeypatch.setattr(lattice, "_coordinate_solver", lambda n: (rows, wrong))
+    with pytest.raises(AssertionError):
+        coset_points(gamma)
+
+
+LADDER = [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0), (2, 1, 0, 0), (2, 2, 1, 0), (3, 1, 0, 0)]
+
+
+@pytest.mark.parametrize("top", LADDER)
+def test_comparability_components_match_all_pairs(top):
+    """Comparing only shifts of equal weight finds every relation the all-pairs scan finds."""
+    shifts = [shift_from_diagram(d) for d in enumerate_diagrams(top)]
+    count = len(shifts)
+    related = [
+        [a != b and coset_leq(shifts[a].gamma, shifts[b].gamma, with_witness=False) is not None
+         for b in range(count)]
+        for a in range(count)
+    ]
+    # components: closure of the relation in both directions
+    component = list(range(count))
+    changed = True
+    while changed:
+        changed = False
+        for a in range(count):
+            for b in range(count):
+                if (related[a][b] or related[b][a]) and component[a] != component[b]:
+                    component[a] = component[b] = min(component[a], component[b])
+                    changed = True
+    expected = {}
+    for a in range(count):
+        expected.setdefault(component[a], []).append(a)
+    components, got = comparability_components(shifts)
+    assert got == related
+    assert sorted(components) == sorted(expected.values())
 
 
 def test_r_routes_multiplicity_on_gl4():

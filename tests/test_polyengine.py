@@ -21,6 +21,7 @@ from gtagkz.polyengine import (
     poly_from_json,
     poly_to_json,
 )
+from gtagkz.verify import seeded_matrices
 
 
 def ev(n, *pairs):
@@ -115,6 +116,19 @@ def test_minor_values_match_determinants(n):
             block = [[matrix[r][c - 1] for c in X] for r in range(len(X))]
             assert type(value) is int
             assert value == _linalg.det(block)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seeded_matrices_match_a_determinant_filter(n, seed):
+    """Filtering on the full-set minor keeps the matrices a det != 0 filter keeps."""
+    rng = random.Random(seed)
+    expected = []
+    while len(expected) < 20:
+        candidate = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if _linalg.det(candidate) != 0:
+            expected.append(candidate)
+    assert seeded_matrices(n, seed, 20) == expected
 
 
 def test_evaluate_minors_exact_on_fraction_and_float_entries():

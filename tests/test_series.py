@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from gtagkz.combinatorics import GTDiagram, enumerate_diagrams, highest_diagram
+from gtagkz.combinatorics import GTDiagram, chi_apply, enumerate_diagrams, highest_diagram
 from gtagkz.lattice import (
     ExponentVector,
     canonical_shifts,
@@ -17,6 +17,7 @@ from gtagkz.lattice import (
 from gtagkz.operators import euler_weighted, gkz_apply
 from gtagkz.polyengine import Polynomial, diff_apply, evaluate_at_ones, pair
 from gtagkz.series import (
+    _feasible_classes,
     agkz_solution,
     f_pair_series,
     feasible_down_shifts,
@@ -229,3 +230,39 @@ def test_f_pair_series_matches_direct_pairings_on_chains():
 def test_f_pair_series_empty_support_is_zero():
     bad = ExponentVector(3, [((1,), 2), ((2,), -1)])
     assert f_pair_series(bad, (0,), (0,)).is_zero()
+
+
+def _uncached_classes(vector):
+    """Class representatives from every diagram of the top row whose row sums match."""
+    n = vector.n
+    full = chi_apply(n, n, vector)
+    if full < 0:
+        return []
+    top = tuple(chi_apply(p, n, vector) - full for p in range(1, n + 1))
+    sums = [sum(chi_apply(p, q, vector) for p in range(1, q + 1)) - q * full for q in range(1, n + 1)]
+    raise_full = full * ExponentVector.unit(n, tuple(range(1, n + 1)))
+    if any(a < b for a, b in zip(top, top[1:])) or top[-1] != 0:
+        return []
+    return [
+        shift_from_diagram(d).gamma + raise_full
+        for d in enumerate_diagrams(top)
+        if [sum(d.row(q)) for q in range(1, n + 1)] == sums
+    ]
+
+
+@pytest.mark.parametrize("top", [(4, 2, 0), (8, 4, 0), (2, 1, 0, 0), (3, 2, 1, 0)])
+def test_feasible_classes_memo_matches_uncached_patterns(top):
+    """Keyed on n, top row, row sums and full-set count: vectors that differ
+    in any of them get their own patterns, and a repeat returns the same tuple."""
+    n = len(top)
+    full_set = ExponentVector.unit(n, tuple(range(1, n + 1)))
+    vectors = []
+    for shift in canonical_shifts(enumerate_diagrams(top)):
+        for s in feasible_down_shifts(shift.gamma):
+            vectors.append(shift.gamma - r_shift(n, s))
+    vectors += [v + full_set for v in vectors[::3]] + [v - full_set for v in vectors[::5]]
+    for vector in vectors:
+        classes = _feasible_classes(vector)
+        assert isinstance(classes, tuple)
+        assert classes == tuple(_uncached_classes(vector))
+        assert _feasible_classes(vector) is classes
