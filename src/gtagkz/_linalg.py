@@ -1,8 +1,9 @@
-"""Small dense exact linear algebra over Fraction.
+"""Small dense exact linear algebra over Fraction: determinant and rank.
 
 Everything here works on lists of lists of Fraction (or int) and never
 rounds; matrices are tiny (at most a few dozen rows), so plain Gaussian
-elimination is fine.
+elimination is fine.  Nothing in the package calls it; the tests use it as
+a reference.
 """
 
 from __future__ import annotations
@@ -60,38 +61,3 @@ def rank(rows) -> int:
         if r == nrows:
             break
     return r
-
-
-def inverse(rows):
-    """Exact inverse of a square matrix by Gauss-Jordan elimination; raises on singular input."""
-    m = len(rows)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[m:] for row in a]
-
-
-def independent_rows(rows, target_rank):
-    """Indices of `target_rank` linearly independent rows, in increasing order."""
-    chosen = []
-    basis = []
-    for idx, row in enumerate(rows):
-        candidate = basis + [[Fraction(x) for x in row]]
-        if rank(candidate) == len(candidate):
-            chosen.append(idx)
-            basis = candidate
-            if len(chosen) == target_rank:
-                return chosen
-    raise ValueError("matrix rank below target")

@@ -10,6 +10,8 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .combinatorics import enumerate_diagrams, normalize_weight
 from .gtbasis import CoefficientTable, build_basis, gt_function, weyl_dimension
@@ -53,6 +55,57 @@ def _check_n(n):
         raise UsageError(f"n must be at most {MAX_N}, got {n}")
 
 
+def _to_json(value):
+    """Exactly json.dumps(value, indent=2), for documents built from str-keyed
+    dicts, lists, str, int, bool and None; anything else (a float, a non-str
+    key) raises TypeError.
+
+    With indent set, json.dumps runs the standard library's pure-Python
+    encoder.  This writer emits the same layout (two spaces per level, ","
+    at line ends, ": " after keys), escapes strings with the C
+    encode_basestring_ascii and joins each container's items once, at under
+    half the cost on a basis document.
+    """
+    return _json_text(value, "\n")
+
+
+def _json_text(value, newline):
+    """The text of value whose lines, after its first, start with newline."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            kind = type(item)  # plain ints and strs, the most common values, inline
+            if kind is int:
+                text = int.__repr__(item)
+            elif kind is str:
+                text = encode_basestring_ascii(item)
+            else:
+                text = _json_text(item, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
@@ -88,7 +141,7 @@ def cmd_lattice(args) -> int:
                 for vec in basis
             ],
         }
-        _emit(json.dumps(document, indent=2), args.out)
+        _emit(_to_json(document), args.out)
     else:
         lines = [f"n = {n}: k = {len(basis)} (expected {lattice_rank(n)})"]
         for idx, vec in enumerate(basis):
@@ -116,7 +169,7 @@ def cmd_diagrams(args) -> int:
                 for d in diagrams
             ],
         }
-        _emit(json.dumps(document, indent=2), args.out)
+        _emit(_to_json(document), args.out)
     else:
         lines = [f"{len(diagrams)} diagrams for top row {list(weight)}"]
         for d in diagrams:
@@ -171,7 +224,7 @@ def cmd_basis(args) -> int:
     _check_n(len(weight))
     document = _basis_document(weight)
     if args.format == "json":
-        _emit(json.dumps(document, indent=2), args.out)
+        _emit(_to_json(document), args.out)
     else:
         lines = [
             f"representation {document['top_row']}: dimension {document['dimension']}"
@@ -199,7 +252,7 @@ def cmd_gram(args) -> int:
             "dimension": len(gram),
             "gram": [[str(value) for value in row] for row in gram],
         }
-        _emit(json.dumps(document, indent=2), args.out)
+        _emit(_to_json(document), args.out)
     else:
         lines = [f"gram matrix ({len(gram)} x {len(gram)})"]
         for row in gram:
@@ -269,7 +322,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process (its help texts cost gettext lookups)."""
     parser = argparse.ArgumentParser(
         prog="gt-agkz",
         description=(

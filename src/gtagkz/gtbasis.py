@@ -24,7 +24,7 @@ from .lattice import (
     nonneg_points,
     r_shift,
 )
-from .polyengine import Polynomial, evaluate_at_ones, pair
+from .polyengine import Polynomial, evaluate_at_ones, pair, rational_sum
 from .series import (
     agkz_solution,
     f_pair_terms,
@@ -97,14 +97,15 @@ def gram_matrix(basis: RepresentationBasis):
 def coeff_C(delta, l) -> Fraction:
     """Orthogonalization coefficient: the paired series at delta - l.r, at A = 1.
 
-    The value at 1 is the coefficient sum, so this sums the coefficients of
-    the series' terms as they are generated and builds no polynomial.
+    The value at 1 is the coefficient sum, so this sums the integer
+    numerators and denominators of the series' terms as they are generated,
+    over one common denominator, and builds no polynomial.
     """
     vector = getattr(delta, "gamma", delta)
     n = vector.n
     l = tuple(l)
     zero = (0,) * len(l)
-    return sum((c for _, c in f_pair_terms(vector - r_shift(n, l), l, zero)), Fraction(0))
+    return rational_sum((num, den) for _, num, den in f_pair_terms(vector - r_shift(n, l), l, zero))
 
 
 @lru_cache(maxsize=None)

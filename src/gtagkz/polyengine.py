@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 from .combinatorics import enumerate_subsets
 from .lattice import ExponentVector
@@ -30,9 +30,11 @@ class Polynomial:
                 raise ValueError("dimension mismatch")
             if not exponent.is_nonnegative():
                 raise ValueError(f"negative exponent in {exponent}")
-            coefficient = Fraction(coefficient)
+            if type(coefficient) is not Fraction:
+                coefficient = Fraction(coefficient)
             if coefficient:
-                new = merged.get(exponent, 0) + coefficient
+                old = merged.get(exponent)
+                new = coefficient if old is None else old + coefficient
                 if new:
                     merged[exponent] = new
                 else:
@@ -151,16 +153,38 @@ def exponent_factorial(exponent: ExponentVector) -> int:
     return product
 
 
+def rational_sum(pairs) -> Fraction:
+    """The exact sum of numerator / denominator over int pairs, as one Fraction.
+
+    Denominators must be positive.  The running total is an integer over the
+    lcm of the denominators seen so far: a term costs integer products and a
+    remainder, a gcd only when its denominator brings a new factor, and only
+    the result is reduced (a Fraction sum reduces after every addition).  The
+    empty sum is Fraction(0).
+    """
+    total, common = 0, 1
+    for numerator, denominator in pairs:
+        if common % denominator:
+            factor = denominator // gcd(common, denominator)
+            total *= factor
+            common *= factor
+        total += numerator * (common // denominator)
+    return Fraction(total, common)
+
+
 def pair(f: Polynomial, g: Polynomial) -> Fraction:
     """Apolarity pairing: diff_apply(f, g) at A = 0, i.e. sum c_f(u) c_g(u) u!."""
     f._check(g)
     small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
-    total = Fraction(0)
+    terms = []
     for exponent, coefficient in small.terms.items():
         other = large.terms.get(exponent)
         if other is not None:
-            total += coefficient * other * exponent_factorial(exponent)
-    return total
+            terms.append((
+                coefficient.numerator * other.numerator * exponent_factorial(exponent),
+                coefficient.denominator * other.denominator,
+            ))
+    return rational_sum(terms)
 
 
 def evaluate_at_ones(f: Polynomial) -> Fraction:
@@ -202,7 +226,11 @@ def minor_values(matrix, n):
 
 def evaluate_minors(f: Polynomial, matrix) -> Fraction:
     """Evaluate f after substituting the minors of the given matrix."""
-    values = minor_values(matrix, f.n)
+    return evaluate_at_minors(f, minor_values(matrix, f.n))
+
+
+def evaluate_at_minors(f: Polynomial, values) -> Fraction:
+    """Evaluate f at minor values computed once, as returned by minor_values."""
     total = Fraction(0)
     for exponent, coefficient in f.terms.items():
         monomial = 1
@@ -216,13 +244,19 @@ def subset_to_str(X) -> str:
     return ",".join(str(x) for x in X)
 
 
+@lru_cache(maxsize=None)
+def _subset_strings(n):
+    return {X: subset_to_str(X) for X in enumerate_subsets(n)}
+
+
 def exponent_to_json(exponent: ExponentVector):
-    return {subset_to_str(X): v for X, v in exponent.items()}
+    strings = _subset_strings(exponent.n)
+    return {strings[X]: v for X, v in exponent.items()}
 
 
 @lru_cache(maxsize=None)
 def _subset_keys(n):
-    return {subset_to_str(X): X for X in enumerate_subsets(n)}
+    return {key: X for X, key in _subset_strings(n).items()}
 
 
 def exponent_from_json(n, data) -> ExponentVector:

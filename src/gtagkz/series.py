@@ -14,17 +14,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .combinatorics import GTDiagram, chi_apply
+from .combinatorics import GTDiagram, chi_pairs
 from .lattice import (
     ExponentVector,
-    coset_points,
+    _coset_table,
+    chi_table,
     lattice_basis,
-    nonneg_points,
     r_routes,
     r_shift,
     shift_from_diagram,
 )
-from .polyengine import Polynomial, exponent_factorial
+from .polyengine import Polynomial
 
 
 def rising(t: int, s: int) -> int:
@@ -51,10 +51,8 @@ def _gamma_of(shift_or_vector) -> ExponentVector:
 def gamma_series(gamma) -> Polynomial:
     """Sum of A^x / x! over the nonnegative points of gamma + B."""
     vector = _gamma_of(gamma)
-    return Polynomial(
-        vector.n,
-        [(x, Fraction(1, exponent_factorial(x))) for x in nonneg_points(vector)],
-    )
+    terms = [(x, Fraction(1, x_factorial)) for x, _, x_factorial in _coset_table(vector)]
+    return Polynomial(vector.n, terms)
 
 
 def j_series(gamma: ExponentVector, s) -> Polynomial:
@@ -64,23 +62,29 @@ def j_series(gamma: ExponentVector, s) -> Polynomial:
     only on its class mod B.
     """
     vector = _gamma_of(gamma)
-    return Polynomial(vector.n, _j_terms(vector, s))
+    return Polynomial(vector.n, _fractions(_j_terms(vector, s)))
+
+
+def _fractions(terms):
+    """Polynomial terms (x, Fraction(numerator, denominator)) from integer triples."""
+    return [(x, Fraction(numerator, denominator)) for x, numerator, denominator in terms]
 
 
 def _j_terms(vector: ExponentVector, s):
-    """The terms (x, coefficient) of j_series(vector, s), one per weighted coset point."""
+    """The terms of j_series(vector, s) as integers (x, weight, x!), coefficient
+    weight / x!, one per coset point of nonzero weight."""
     s = tuple(s)
     k = len(lattice_basis(vector.n))
     if len(s) != k or any(part < 0 for part in s):
         raise ValueError(f"s must be a length-{k} nonnegative multi-index")
-    for x, t in coset_points(vector):
+    for x, t, x_factorial in _coset_table(vector):
         weight = 1
         for t_part, s_part in zip(t, s):
             weight *= rising(t_part, s_part)
             if weight == 0:
                 break
         if weight:
-            yield x, Fraction(weight, exponent_factorial(x))
+            yield x, weight, x_factorial
 
 
 def _pattern_rows(top, sums):
@@ -113,11 +117,12 @@ def _feasible_classes(vector: ExponentVector):
     raised back by the full-set count; r preserves top row and weight.
     """
     n = vector.n
-    full = chi_apply(n, n, vector)
+    values = dict(zip(chi_pairs(n), chi_table(vector)))
+    full = values[(n, n)]
     if full < 0:
         return ()
-    top = tuple(chi_apply(p, n, vector) - full for p in range(1, n + 1))
-    sums = tuple(sum(chi_apply(p, q, vector) for p in range(1, q + 1)) - q * full for q in range(n))
+    top = tuple(values[(p, n)] - full for p in range(1, n + 1))
+    sums = tuple(sum(values[(p, q)] for p in range(1, q + 1)) - q * full for q in range(n))
     return _pattern_classes(n, top, sums, full)
 
 
@@ -131,13 +136,26 @@ def _pattern_classes(n: int, top: tuple, sums: tuple, full: int):
     )
 
 
+# Bounded memo size.  A cold (8,4,0) basis asks 350 times for the down shifts
+# of 125 vectors; basis plus verify of all 17 n = 3, 4 weights with dimension
+# <= 15 in one process asks 995 times for 232.  Such runs never evict, and a
+# long-lived process holds at most this many entries.
+FEASIBLE_SHIFT_CACHE_SIZE = 4096
+
+
 def feasible_down_shifts(gamma):
     """All s >= 0 for which gamma - s.r + B contains a nonnegative point, sorted.
 
     The union of the r-routes up from every feasible class of the same top row
     and weight; gamma may be any integer vector, not only a diagram's shift.
+    Read from a memo keyed on the vector (see FEASIBLE_SHIFT_CACHE_SIZE).
     """
-    vector = _gamma_of(gamma)
+    return _down_shifts(_gamma_of(gamma))
+
+
+@lru_cache(maxsize=FEASIBLE_SHIFT_CACHE_SIZE)
+def _down_shifts(vector: ExponentVector):
+    """The shifts of feasible_down_shifts, memoized per vector."""
     return tuple(sorted(s for low in _feasible_classes(vector) for s in r_routes(low, vector)))
 
 
@@ -162,8 +180,12 @@ def agkz_solution(gamma) -> Polynomial:
     n = vector.n
     terms = []
     for s in feasible_down_shifts(vector):
-        scale = Fraction(-1 if sum(s) % 2 else 1, multi_factorial(s))
-        terms.extend((x, scale * c) for x, c in _j_terms(vector - r_shift(n, s), s))
+        sign = -1 if sum(s) % 2 else 1
+        norm = multi_factorial(s)
+        terms.extend(
+            (x, Fraction(sign * weight, x_factorial * norm))
+            for x, weight, x_factorial in _j_terms(vector - r_shift(n, s), s)
+        )
     return Polynomial(n, terms)
 
 
@@ -179,24 +201,25 @@ def j_pair_series(delta: ExponentVector, a, b) -> Polynomial:
     alternating sum built on top of it.
     """
     vector = _gamma_of(delta)
-    return Polynomial(vector.n, _j_pair_terms(vector, a, b))
+    return Polynomial(vector.n, _fractions(_j_pair_terms(vector, a, b)))
 
 
 def _j_pair_terms(vector: ExponentVector, a, b):
-    """The terms (x, coefficient) of j_pair_series(vector, a, b), one per weighted coset point."""
+    """The terms of j_pair_series(vector, a, b) as integers (x, numerator,
+    denominator), one per coset point of nonzero weight."""
     a, b = tuple(a), tuple(b)
     k = len(lattice_basis(vector.n))
     if len(a) != k or len(b) != k or min(a + b, default=0) < 0:
         raise ValueError(f"a and b must be length-{k} nonnegative multi-indices")
     norm = multi_factorial(a) * multi_factorial(b)
-    for x, t in coset_points(vector):
+    for x, t, x_factorial in _coset_table(vector):
         weight = 1
         for t_part, a_part, b_part in zip(t, a, b):
             weight *= rising(t_part, a_part) * rising(t_part, b_part)
             if weight == 0:
                 break
         if weight:
-            yield x, Fraction(weight, exponent_factorial(x) * norm)
+            yield x, weight, x_factorial * norm
 
 
 def f_pair_series(delta: ExponentVector, l1, l2) -> Polynomial:
@@ -210,13 +233,14 @@ def f_pair_series(delta: ExponentVector, l1, l2) -> Polynomial:
     terms are missing and the exact pairing must be used instead.)
     """
     vector = _gamma_of(delta)
-    return Polynomial(vector.n, f_pair_terms(vector, l1, l2))
+    return Polynomial(vector.n, _fractions(f_pair_terms(vector, l1, l2)))
 
 
 def f_pair_terms(delta: ExponentVector, l1, l2):
-    """The unmerged terms (x, coefficient) of f_pair_series(delta, l1, l2).
+    """The unmerged terms of f_pair_series(delta, l1, l2) as integers (x,
+    numerator, denominator), coefficient numerator / denominator.
 
-    Their coefficient sum is the value of the series at A = 1.
+    Their sum, polyengine.rational_sum, is the value of the series at A = 1.
     """
     vector = _gamma_of(delta)
     n = vector.n
@@ -225,5 +249,5 @@ def f_pair_terms(delta: ExponentVector, l1, l2):
         raise ValueError("need min(l1, l2) = 0 componentwise")
     sign = -1 if (sum(l1) + sum(l2)) % 2 else 1
     for u in feasible_down_shifts(vector):
-        for x, c in _j_pair_terms(vector - r_shift(n, u), _multi_add(u, l1), _multi_add(u, l2)):
-            yield x, sign * c
+        for x, num, den in _j_pair_terms(vector - r_shift(n, u), _multi_add(u, l1), _multi_add(u, l2)):
+            yield x, sign * num, den

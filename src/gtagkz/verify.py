@@ -29,8 +29,8 @@ from .operators import agkz_apply, e_action, euler_weighted, plucker_generator
 from .polyengine import (
     Polynomial,
     diff_apply,
+    evaluate_at_minors,
     evaluate_at_ones,
-    evaluate_minors,
     minor_values,
     pair,
 )
@@ -79,6 +79,7 @@ class VerifyContext:
         self._table = None
         self._gt = None
         self._matrices = None
+        self._minors = None
 
     @property
     def basis(self) -> RepresentationBasis:
@@ -104,6 +105,13 @@ class VerifyContext:
             self._matrices = seeded_matrices(self.n, self.seed, self.matrix_count)
         return self._matrices
 
+    @property
+    def minors(self):
+        """minor_values of each matrix, computed once for every check."""
+        if self._minors is None:
+            self._minors = [minor_values(matrix, self.n) for matrix in self.matrices]
+        return self._minors
+
 
 def check_agkz_annihilation(ctx: VerifyContext) -> CheckResult:
     failures = []
@@ -124,8 +132,8 @@ def check_plucker_annihilation(ctx: VerifyContext) -> CheckResult:
     k = len(lattice_basis(ctx.n))
     generators = [plucker_generator(ctx.n, alpha) for alpha in range(k)]
     for alpha, generator in enumerate(generators):
-        for matrix in ctx.matrices:
-            if evaluate_minors(generator, matrix) != 0:
+        for values in ctx.minors:
+            if evaluate_at_minors(generator, values) != 0:
                 failures.append(("minors", alpha))
         for entry in ctx.basis.entries:
             if not diff_apply(generator, entry.agkz_poly).is_zero():
@@ -226,8 +234,8 @@ def check_canf_minor_identity(ctx: VerifyContext) -> CheckResult:
             skipped += 1
             continue
         difference = entry.gamma_poly - reduced
-        for matrix in ctx.matrices:
-            if evaluate_minors(difference, matrix) != 0:
+        for values in ctx.minors:
+            if evaluate_at_minors(difference, values) != 0:
                 failures.append(entry.diagram.rows)
                 break
     note = f", {skipped} skipped (no unique support point)" if skipped else ""

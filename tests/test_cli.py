@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gtagkz import combinatorics, lattice, polyengine
+from gtagkz import cli, combinatorics, lattice, polyengine
 from gtagkz.cli import MAX_N, main
 from gtagkz.verify import default_checks
 
@@ -259,3 +260,41 @@ def test_diagrams_is_not_limited_in_n(capsys):
     code, out, _ = run(capsys, "diagrams", ",".join(["1"] + ["0"] * MAX_N), "--format", "json")
     assert code == 0
     assert json.loads(out)["count"] == MAX_N + 1
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**300), max_value=2**300)
+    | st.text(),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(JSON_VALUES)
+def test_to_json_matches_the_standard_indented_encoder(value):
+    """Non-ASCII and control characters, big and negative ints, bools, None, nesting."""
+    assert cli._to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [1, [2.0]], {"a": 0.5}, {1: "a"}])
+def test_to_json_rejects_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        cli._to_json(value)
+
+
+def test_the_parser_is_built_once_per_process(capsys, tmp_path):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "lattice", "3", "--out", str(tmp_path / "lattice.txt"))[0] == 0
+    assert run(capsys, "diagrams", "2,1,0")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+    with pytest.raises(SystemExit) as stop:
+        main(["lattice", "three"])
+    assert stop.value.code == 2
+    code, out, _ = run(capsys, "lattice", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["k"] == 1  # no --out carried over from the first call
+    assert cli.build_parser.cache_info().misses == 1

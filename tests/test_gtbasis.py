@@ -218,6 +218,16 @@ def test_gt_basis_orthogonal(top):
             assert pair(polys[a], polys[b]) == 0
 
 
+def test_gl6_basis_has_the_weyl_dimension_and_is_orthogonal():
+    top = (1, 1, 1, 0, 0, 0)
+    basis = build_basis(top)
+    assert len(basis) == weyl_dimension(top) == 20
+    polys = gt_basis(basis)
+    for a in range(len(polys)):
+        for b in range(a + 1, len(polys)):
+            assert pair(polys[a], polys[b]) == 0
+
+
 @pytest.mark.parametrize("top", [(2, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0)] + LONG_CHAINS)
 def test_lagrange_matches_gt_functions(top):
     basis = build_basis(top)

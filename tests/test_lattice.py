@@ -1,6 +1,7 @@
 """Lattice basis, shift vectors, the coset order, and point enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -30,6 +31,7 @@ from gtagkz.lattice import (
     r_shift,
     shift_from_diagram,
 )
+from gtagkz.polyengine import exponent_factorial
 from gtagkz.series import feasible_down_shifts
 
 
@@ -250,15 +252,51 @@ def test_coset_points_recover_integral_coordinates():
         assert total == x
 
 
-def test_coset_points_check_fires_on_a_wrong_inverse(monkeypatch):
-    """The dense per-point check catches coordinates that do not rebuild the point."""
+def test_coset_points_check_fires_on_a_wrong_solver(monkeypatch):
+    """The dense per-point check catches coordinates that do not rebuild the
+    point; the memoized table is cleared so that the entry is built again."""
     gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma
     assert any(any(t) for _, t in coset_points(gamma))
-    rows, inverse = lattice._coordinate_solver(3)
-    wrong = tuple(tuple(-value for value in row) for row in inverse)
-    monkeypatch.setattr(lattice, "_coordinate_solver", lambda n: (rows, wrong))
-    with pytest.raises(AssertionError):
-        coset_points(gamma)
+    solve = lattice._lattice_coordinates
+    monkeypatch.setattr(
+        lattice, "_lattice_coordinates", lambda n, difference: tuple(-t for t in solve(n, difference))
+    )
+    lattice._coset_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            coset_points(gamma)
+    finally:
+        lattice._coset_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_lattice_coordinates_round_trip(n):
+    """t -> gamma + sum t_b v_b -> t by integer back-substitution, for random integer t."""
+    rng = random.Random(n)
+    basis = lattice_basis(n)
+    gamma = shift_from_diagram(highest_diagram((3, 1) + (0,) * (n - 2))).gamma
+    for _ in range(25):
+        t = tuple(rng.randint(-5, 5) for _ in basis)
+        x = gamma
+        for coeff, vec in zip(t, basis):
+            x = x + coeff * vec.v
+        difference = [a - b for a, b in zip(x.dense(), gamma.dense())]
+        assert lattice._lattice_coordinates(n, difference) == t
+
+
+def test_coset_table_is_immutable_and_coset_points_is_a_fresh_list():
+    gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma
+    table = lattice._coset_table(gamma)
+    assert isinstance(table, tuple) and len(table) > 1
+    assert all(isinstance(entry, tuple) and isinstance(entry[1], tuple) for entry in table)
+    assert [x for x, _, _ in table] == nonneg_points(gamma)
+    assert all(x_factorial == exponent_factorial(x) for x, _, x_factorial in table)
+    first = coset_points(gamma)
+    second = coset_points(gamma)
+    assert first == second == [(x, t) for x, t, _ in table]
+    assert first is not second
+    first.clear()
+    assert coset_points(gamma) == second
 
 
 LADDER = [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0), (2, 1, 0, 0), (2, 2, 1, 0), (3, 1, 0, 0)]

@@ -7,12 +7,14 @@ from math import factorial
 
 import pytest
 
-from gtagkz import _linalg
+from gtagkz import _linalg, polyengine, verify
 from gtagkz.combinatorics import enumerate_subsets
+from gtagkz.gtbasis import build_basis
 from gtagkz.lattice import ExponentVector
 from gtagkz.polyengine import (
     Polynomial,
     diff_apply,
+    evaluate_at_minors,
     evaluate_at_ones,
     evaluate_minors,
     exponent_factorial,
@@ -20,6 +22,7 @@ from gtagkz.polyengine import (
     pair,
     poly_from_json,
     poly_to_json,
+    rational_sum,
 )
 from gtagkz.verify import seeded_matrices
 
@@ -64,6 +67,63 @@ def test_scale_and_dimension_mismatch():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         Polynomial.monomial(ev(3, ((1,), -1)))
+
+
+def test_fraction_coefficients_still_get_validated_exponents():
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError):
+        Polynomial(3, [(ev(3, ((1,), -1)), half)])
+    with pytest.raises(ValueError):
+        Polynomial(3, [(ev(4, ((1,), 1)), half)])
+    f = Polynomial(3, [(ev(3, ((1,), 1)), half), (ev(3, ((2,), 1)), 3), (ev(3, ((1,), 1)), -half)])
+    assert f.terms == {ev(3, ((2,), 1)): Fraction(3)}
+    assert type(f.terms[ev(3, ((2,), 1))]) is Fraction
+
+
+def test_rational_sum_matches_a_fraction_sum():
+    assert rational_sum([]) == 0 and isinstance(rational_sum([]), Fraction)
+    rng = random.Random(11)
+    for _ in range(300):
+        pairs = [
+            (rng.randint(-60, 60), rng.choice([1, 2, 6, 24, 720, rng.randint(1, 10**9)]))
+            for _ in range(rng.randint(1, 15))
+        ]
+        assert rational_sum(iter(pairs)) == sum((Fraction(a, b) for a, b in pairs), Fraction(0))
+    assert rational_sum([(1, 3), (-1, 3)]) == 0
+
+
+LADDER = [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0), (2, 1, 0, 0), (2, 2, 1, 0), (3, 1, 0, 0)]
+
+
+@pytest.mark.parametrize("top", LADDER)
+def test_pair_matches_a_fraction_loop_on_the_ladder(top):
+    entries = build_basis(top).entries
+    polys = [e.agkz_poly for e in entries] + [e.gamma_poly for e in entries[::2]]
+    for f in polys:
+        for g in polys:
+            expected = Fraction(0)
+            for exponent, coefficient in f.terms.items():
+                if exponent in g.terms:
+                    expected += coefficient * g.terms[exponent] * exponent_factorial(exponent)
+            assert pair(f, g) == expected
+
+
+def test_verify_computes_the_minors_of_each_matrix_once(monkeypatch):
+    """The minor checks read VerifyContext.minors: one minor_values call per matrix."""
+    ctx = verify.VerifyContext((2, 1, 0, 0), matrix_count=6)
+    ctx.matrices  # the nonsingularity filter takes minors of its candidates too
+    ctx.basis
+    calls = []
+
+    def counting(matrix, n):
+        calls.append(n)
+        return minor_values(matrix, n)
+
+    monkeypatch.setattr(verify, "minor_values", counting)
+    monkeypatch.setattr(polyengine, "minor_values", counting)
+    assert verify.check_plucker_annihilation(ctx).passed
+    assert verify.check_canf_minor_identity(ctx).passed
+    assert len(calls) == ctx.matrix_count
 
 
 def test_diff_apply_single_variable():
@@ -142,6 +202,15 @@ def test_evaluate_minors_exact_on_fraction_and_float_entries():
     for _ in range(5):
         f = random_poly(3, rng)
         assert evaluate_minors(f, mixed) == evaluate_minors(f, exact)
+
+
+def test_evaluate_at_minors_matches_evaluate_minors():
+    rng = random.Random(4)
+    for matrix in seeded_matrices(4, 3, 4):
+        values = minor_values(matrix, 4)
+        for _ in range(5):
+            f = random_poly(4, rng)
+            assert evaluate_at_minors(f, values) == evaluate_minors(f, matrix)
 
 
 def test_evaluate_minors_is_ring_homomorphism():

@@ -11,6 +11,7 @@ from gtagkz.lattice import (
     ExponentVector,
     canonical_shifts,
     lattice_basis,
+    r_routes,
     r_shift,
     shift_from_diagram,
 )
@@ -266,3 +267,19 @@ def test_feasible_classes_memo_matches_uncached_patterns(top):
         assert isinstance(classes, tuple)
         assert classes == tuple(_uncached_classes(vector))
         assert _feasible_classes(vector) is classes
+
+
+@pytest.mark.parametrize("top", [(8, 4, 0), (3, 1, 0, 0)])
+def test_feasible_down_shifts_memo_matches_an_uncached_search(top):
+    """On every shift and on translates of them by a lattice vector: the memo
+    returns the routes up from each feasible class, as the same tuple on a repeat."""
+    n = len(top)
+    v = lattice_basis(n)[0].v
+    vectors = [shift.gamma for shift in canonical_shifts(enumerate_diagrams(top))]
+    vectors += [gamma + v for gamma in vectors[::2]]
+    for vector in vectors:
+        expected = tuple(sorted(s for low in _feasible_classes(vector) for s in r_routes(low, vector)))
+        shifts = feasible_down_shifts(vector)
+        assert isinstance(shifts, tuple)
+        assert shifts == expected
+        assert feasible_down_shifts(vector) is shifts
