@@ -14,7 +14,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .combinatorics import enumerate_diagrams, normalize_weight
-from .gtbasis import CoefficientTable, build_basis, gt_function, weyl_dimension
+from .gtbasis import CoefficientTable, build_basis, gram_matrix, gt_function, weyl_dimension
 from .lattice import in_lattice, lattice_basis, lattice_rank
 from .polyengine import (
     evaluate_at_ones,
@@ -25,7 +25,7 @@ from .polyengine import (
     poly_to_json,
     subset_to_str,
 )
-from .verify import run_checks
+from .verify import CHECKS, run_checks
 
 SCHEMA = "gt-agkz/1"
 
@@ -242,8 +242,6 @@ def cmd_gram(args) -> int:
     weight, _ = normalize_weight(_parse_weight(args.top_row))
     _check_n(len(weight))
     basis = build_basis(weight)
-    from .gtbasis import gram_matrix
-
     gram = gram_matrix(basis)
     if args.format == "json":
         document = {
@@ -267,8 +265,6 @@ def cmd_verify(args) -> int:
     names = None
     if args.checks:
         names = [part.strip() for part in args.checks.split(",") if part.strip()]
-        from .verify import CHECKS
-
         for name in names:
             if name not in CHECKS:
                 raise UsageError(f"unknown check {name!r}")
@@ -386,10 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
+    except (UsageError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -24,14 +24,15 @@ from .lattice import (
     nonneg_points,
     r_shift,
 )
-from .polyengine import Polynomial, evaluate_at_ones, pair, rational_sum
+from .polyengine import Polynomial, pair, rational_sum
 from .series import (
+    _gamma_of,
     agkz_solution,
     f_pair_terms,
     feasible_down_shifts,
     feasible_up_shifts,
     gamma_series,
-    j_series,
+    j_value,
     multi_factorial,
 )
 
@@ -101,7 +102,7 @@ def coeff_C(delta, l) -> Fraction:
     numerators and denominators of the series' terms as they are generated,
     over one common denominator, and builds no polynomial.
     """
-    vector = getattr(delta, "gamma", delta)
+    vector = _gamma_of(delta)
     n = vector.n
     l = tuple(l)
     zero = (0,) * len(l)
@@ -127,7 +128,7 @@ def coeff_C_alt(delta, l) -> Fraction:
     Expands each doubly weighted term into single Pochhammer series and
     evaluates those at 1: an independent computational route for coeff_C.
     """
-    vector = getattr(delta, "gamma", delta)
+    vector = _gamma_of(delta)
     n = vector.n
     l = tuple(l)
     base = vector - r_shift(n, l)
@@ -139,7 +140,7 @@ def coeff_C_alt(delta, l) -> Fraction:
         expansions = [_pochhammer_expansion(a_part, u_part) for a_part, u_part in zip(a, u)]
         subscript = base - r_shift(n, u)
         for c, weight in _expansion_products(expansions):
-            value = evaluate_at_ones(j_series(subscript, c))
+            value = j_value(subscript, c)
             if value:
                 total += sign_l * norm * weight * value
     return total
@@ -241,7 +242,7 @@ def gt_function(delta, basis: RepresentationBasis, table: CoefficientTable | Non
     """The orthogonal basis function: sum of S coefficients times lower solutions."""
     if table is None:
         table = CoefficientTable(basis)
-    vector = getattr(delta, "gamma", delta)
+    vector = _gamma_of(delta)
     idx = next(
         (i for i, e in enumerate(basis.entries) if e.shift.gamma == vector), None
     )
@@ -271,17 +272,10 @@ def canonical_form(gamma) -> Polynomial:
     nonnegative point of that class, weighted by (-1)^s / s! times the value
     at 1 of the Horn-type series at gamma + sum of all basis vectors.
     """
-    vector = getattr(gamma, "gamma", gamma)
+    vector = _gamma_of(gamma)
     n = vector.n
-    basis = lattice_basis(n)
-    v_total = vector
-    for vec in basis:
-        v_total = v_total + vec.v
     terms = []
-    for s in feasible_up_shifts(vector):
-        constant = evaluate_at_ones(j_series(v_total, s))
-        if constant == 0:
-            continue
+    for s, constant in hypergeometric_constants(vector, feasible_up_shifts(vector)):
         ray_point = vector + r_shift(n, s)
         if ray_point.is_nonnegative():
             exponent = ray_point
@@ -292,9 +286,21 @@ def canonical_form(gamma) -> Polynomial:
                     "canonical form needs a unique nonnegative point per class"
                 )
             exponent = points[0]
-        sign = -1 if sum(s) % 2 else 1
-        terms.append((exponent, Fraction(sign, multi_factorial(s)) * constant))
+        terms.append((exponent, constant))
     return Polynomial(n, terms)
+
+
+def hypergeometric_constants(gamma, shifts):
+    """Pairs (s, (-1)^|s| / s! times the value at 1 of the Horn-type series at
+    gamma + the sum of all lattice directions), for the shifts s where that
+    value is nonzero."""
+    vector = _gamma_of(gamma)
+    for vec in lattice_basis(vector.n):
+        vector = vector + vec.v
+    for s in shifts:
+        constant = j_value(vector, s)
+        if constant:
+            yield s, Fraction(-1 if sum(s) % 2 else 1, multi_factorial(s)) * constant
 
 
 def weyl_dimension(top_row) -> int:

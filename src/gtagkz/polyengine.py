@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import gcd
 
 from .combinatorics import enumerate_subsets
-from .lattice import ExponentVector
+from .lattice import ExponentVector, multi_factorial
 
 
 class Polynomial:
@@ -147,10 +147,7 @@ def diff_apply(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def exponent_factorial(exponent: ExponentVector) -> int:
-    product = 1
-    for _, value in exponent.items():
-        product *= factorial(value)
-    return product
+    return multi_factorial(value for _, value in exponent.items())
 
 
 def rational_sum(pairs) -> Fraction:

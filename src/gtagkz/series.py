@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .combinatorics import GTDiagram, chi_pairs
 from .lattice import (
@@ -20,11 +19,12 @@ from .lattice import (
     _coset_table,
     chi_table,
     lattice_basis,
+    multi_factorial,
     r_routes,
     r_shift,
     shift_from_diagram,
 )
-from .polyengine import Polynomial
+from .polyengine import Polynomial, rational_sum
 
 
 def rising(t: int, s: int) -> int:
@@ -37,21 +37,44 @@ def rising(t: int, s: int) -> int:
     return result
 
 
-def multi_factorial(s) -> int:
-    product = 1
-    for part in s:
-        product *= factorial(part)
-    return product
-
-
 def _gamma_of(shift_or_vector) -> ExponentVector:
     return getattr(shift_or_vector, "gamma", shift_or_vector)
+
+
+def _multi_index(n: int, s) -> tuple:
+    """s as a tuple, checked to be a nonnegative multi-index over the lattice directions."""
+    s = tuple(s)
+    k = len(lattice_basis(n))
+    if len(s) != k or min(s, default=0) < 0:
+        raise ValueError(f"need a length-{k} nonnegative multi-index, got {s}")
+    return s
+
+
+def _horn_terms(vector: ExponentVector, *indices):
+    """The Horn-type series at vector as integers (x, weight, x!), coefficient
+    weight / x!, one per coset point of nonzero weight.
+
+    The weight is the product over the multi-indices s of (t+1)...(t+s) per
+    lattice direction, with t the point's lattice coordinates; with no
+    multi-index it is 1 and the series is the plain lattice series.
+    """
+    factors = [
+        (b, part) for s in indices for b, part in enumerate(_multi_index(vector.n, s)) if part
+    ]
+    for x, t, x_factorial in _coset_table(vector):
+        weight = 1
+        for b, part in factors:
+            weight *= rising(t[b], part)
+            if weight == 0:
+                break
+        if weight:
+            yield x, weight, x_factorial
 
 
 def gamma_series(gamma) -> Polynomial:
     """Sum of A^x / x! over the nonnegative points of gamma + B."""
     vector = _gamma_of(gamma)
-    terms = [(x, Fraction(1, x_factorial)) for x, _, x_factorial in _coset_table(vector)]
+    terms = [(x, Fraction(1, x_factorial)) for x, _, x_factorial in _horn_terms(vector)]
     return Polynomial(vector.n, terms)
 
 
@@ -62,29 +85,17 @@ def j_series(gamma: ExponentVector, s) -> Polynomial:
     only on its class mod B.
     """
     vector = _gamma_of(gamma)
-    return Polynomial(vector.n, _fractions(_j_terms(vector, s)))
+    terms = [(x, Fraction(weight, x_factorial)) for x, weight, x_factorial in _horn_terms(vector, s)]
+    return Polynomial(vector.n, terms)
 
 
-def _fractions(terms):
-    """Polynomial terms (x, Fraction(numerator, denominator)) from integer triples."""
-    return [(x, Fraction(numerator, denominator)) for x, numerator, denominator in terms]
+def j_value(gamma, s) -> Fraction:
+    """The value of j_series(gamma, s) at A = 1, a hypergeometric constant.
 
-
-def _j_terms(vector: ExponentVector, s):
-    """The terms of j_series(vector, s) as integers (x, weight, x!), coefficient
-    weight / x!, one per coset point of nonzero weight."""
-    s = tuple(s)
-    k = len(lattice_basis(vector.n))
-    if len(s) != k or any(part < 0 for part in s):
-        raise ValueError(f"s must be a length-{k} nonnegative multi-index")
-    for x, t, x_factorial in _coset_table(vector):
-        weight = 1
-        for t_part, s_part in zip(t, s):
-            weight *= rising(t_part, s_part)
-            if weight == 0:
-                break
-        if weight:
-            yield x, weight, x_factorial
+    Sums the integer terms over one common denominator; builds no polynomial.
+    """
+    terms = _horn_terms(_gamma_of(gamma), s)
+    return rational_sum((weight, x_factorial) for _, weight, x_factorial in terms)
 
 
 def _pattern_rows(top, sums):
@@ -101,10 +112,11 @@ def _pattern_rows(top, sums):
                 yield (top,) + rest
 
 
-# Bounded memo size.  A cold (8,4,0) basis asks 350 times for the patterns of
+# Bounded memo size.  A cold (8,4,0) basis asks 125 times for the patterns of
 # 61 keys; basis plus verify of all 17 n = 3, 4 weights with dimension <= 15
-# in one process asks 1150 times for 200.  Such runs never evict, and a
-# long-lived process holds at most this many entries.
+# in one process asks 387 times for 200; cold basis 2,1,1,0,0,0 and
+# 2,1,0,0,0,0,0 ask 105 and 112 times for 75 and 77.  None of these runs
+# evicts, and a long-lived process holds at most this many entries.
 FEASIBLE_CLASS_CACHE_SIZE = 1024
 
 
@@ -138,8 +150,9 @@ def _pattern_classes(n: int, top: tuple, sums: tuple, full: int):
 
 # Bounded memo size.  A cold (8,4,0) basis asks 350 times for the down shifts
 # of 125 vectors; basis plus verify of all 17 n = 3, 4 weights with dimension
-# <= 15 in one process asks 995 times for 232.  Such runs never evict, and a
-# long-lived process holds at most this many entries.
+# <= 15 in one process asks 995 times for 232; cold basis 2,1,1,0,0,0 and
+# 2,1,0,0,0,0,0 ask 255 and 259 times for 105 and 112.  None of these runs
+# evicts, and a long-lived process holds at most this many entries.
 FEASIBLE_SHIFT_CACHE_SIZE = 4096
 
 
@@ -184,13 +197,9 @@ def agkz_solution(gamma) -> Polynomial:
         norm = multi_factorial(s)
         terms.extend(
             (x, Fraction(sign * weight, x_factorial * norm))
-            for x, weight, x_factorial in _j_terms(vector - r_shift(n, s), s)
+            for x, weight, x_factorial in _horn_terms(vector - r_shift(n, s), s)
         )
     return Polynomial(n, terms)
-
-
-def _multi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def j_pair_series(delta: ExponentVector, a, b) -> Polynomial:
@@ -201,25 +210,13 @@ def j_pair_series(delta: ExponentVector, a, b) -> Polynomial:
     alternating sum built on top of it.
     """
     vector = _gamma_of(delta)
-    return Polynomial(vector.n, _fractions(_j_pair_terms(vector, a, b)))
-
-
-def _j_pair_terms(vector: ExponentVector, a, b):
-    """The terms of j_pair_series(vector, a, b) as integers (x, numerator,
-    denominator), one per coset point of nonzero weight."""
-    a, b = tuple(a), tuple(b)
-    k = len(lattice_basis(vector.n))
-    if len(a) != k or len(b) != k or min(a + b, default=0) < 0:
-        raise ValueError(f"a and b must be length-{k} nonnegative multi-indices")
+    a, b = _multi_index(vector.n, a), _multi_index(vector.n, b)
     norm = multi_factorial(a) * multi_factorial(b)
-    for x, t, x_factorial in _coset_table(vector):
-        weight = 1
-        for t_part, a_part, b_part in zip(t, a, b):
-            weight *= rising(t_part, a_part) * rising(t_part, b_part)
-            if weight == 0:
-                break
-        if weight:
-            yield x, weight, x_factorial * norm
+    terms = [
+        (x, Fraction(weight, x_factorial * norm))
+        for x, weight, x_factorial in _horn_terms(vector, a, b)
+    ]
+    return Polynomial(vector.n, terms)
 
 
 def f_pair_series(delta: ExponentVector, l1, l2) -> Polynomial:
@@ -233,7 +230,8 @@ def f_pair_series(delta: ExponentVector, l1, l2) -> Polynomial:
     terms are missing and the exact pairing must be used instead.)
     """
     vector = _gamma_of(delta)
-    return Polynomial(vector.n, _fractions(f_pair_terms(vector, l1, l2)))
+    terms = [(x, Fraction(num, den)) for x, num, den in f_pair_terms(vector, l1, l2)]
+    return Polynomial(vector.n, terms)
 
 
 def f_pair_terms(delta: ExponentVector, l1, l2):
@@ -244,10 +242,13 @@ def f_pair_terms(delta: ExponentVector, l1, l2):
     """
     vector = _gamma_of(delta)
     n = vector.n
-    l1, l2 = tuple(l1), tuple(l2)
+    l1, l2 = _multi_index(n, l1), _multi_index(n, l2)
     if any(min(x, y) != 0 for x, y in zip(l1, l2)):
         raise ValueError("need min(l1, l2) = 0 componentwise")
     sign = -1 if (sum(l1) + sum(l2)) % 2 else 1
     for u in feasible_down_shifts(vector):
-        for x, num, den in _j_pair_terms(vector - r_shift(n, u), _multi_add(u, l1), _multi_add(u, l2)):
-            yield x, sign * num, den
+        a = tuple(x + y for x, y in zip(u, l1))
+        b = tuple(x + y for x, y in zip(u, l2))
+        norm = multi_factorial(a) * multi_factorial(b)
+        for x, weight, x_factorial in _horn_terms(vector - r_shift(n, u), a, b):
+            yield x, sign * weight, x_factorial * norm

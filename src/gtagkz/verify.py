@@ -23,6 +23,7 @@ from .gtbasis import (
     canonical_form,
     coeff_C_alt,
     gt_function,
+    hypergeometric_constants,
 )
 from .lattice import lattice_basis, r_routes, r_shift
 from .operators import agkz_apply, e_action, euler_weighted, plucker_generator
@@ -30,14 +31,13 @@ from .polyengine import (
     Polynomial,
     diff_apply,
     evaluate_at_minors,
-    evaluate_at_ones,
     minor_values,
     pair,
 )
 from .series import (
     agkz_solution,
     feasible_down_shifts,
-    j_series,
+    j_value,
     multi_factorial,
     rising,
 )
@@ -214,8 +214,8 @@ def check_triangularity(ctx: VerifyContext) -> CheckResult:
             expected = Fraction(0)
             for u in routes:
                 sign = -1 if sum(u) % 2 else 1
-                expected += Fraction(sign, multi_factorial(u)) * evaluate_at_ones(
-                    j_series(eb.shift.gamma - r_shift(ctx.n, u), u)
+                expected += Fraction(sign, multi_factorial(u)) * j_value(
+                    eb.shift.gamma - r_shift(ctx.n, u), u
                 )
             if value != expected:
                 failures.append((a, b, f"{value} != {expected}"))
@@ -251,16 +251,9 @@ def check_canf_minor_identity(ctx: VerifyContext) -> CheckResult:
 def osnf_rhs(gamma, omega) -> Polynomial:
     """Right side of the operator action identity, summed over feasible shifts."""
     n = gamma.n
-    shifted = gamma
-    for vec in lattice_basis(n):
-        shifted = shifted + vec.v
     base = omega - gamma
     terms = []
-    for s in osnf_shifts(base):
-        constant = evaluate_at_ones(j_series(shifted, s))
-        if constant == 0:
-            continue
-        scale = Fraction(-1 if sum(s) % 2 else 1, multi_factorial(s)) * constant
+    for s, scale in hypergeometric_constants(gamma, osnf_shifts(base)):
         terms.extend((x, scale * c) for x, c in agkz_solution(base - r_shift(n, s)).terms.items())
     return Polynomial(n, terms)
 

@@ -2,8 +2,8 @@
 
 Everything here works on lists of lists of Fraction (or int) and never
 rounds; matrices are tiny (at most a few dozen rows), so plain Gaussian
-elimination is fine.  Nothing in the package calls it; the tests use it as
-a reference.
+elimination is fine.  A reference for the tests, independent of the
+package's integer minor kernel.
 """
 
 from __future__ import annotations

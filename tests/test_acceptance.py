@@ -30,7 +30,7 @@ from gtagkz.polyengine import (
 )
 from gtagkz.series import j_series, multi_factorial, rising
 from gtagkz.verify import osnf_rhs, seeded_matrices
-from gtagkz import _linalg
+import _linalg
 
 SEED = 0
 

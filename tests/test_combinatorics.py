@@ -15,7 +15,7 @@ from gtagkz.combinatorics import (
     normalize_weight,
 )
 from gtagkz.lattice import ExponentVector
-from gtagkz import _linalg
+import _linalg
 
 
 def weyl_dimension_oracle(top_row):

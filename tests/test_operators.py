@@ -19,7 +19,7 @@ from gtagkz.operators import (
 from gtagkz.polyengine import Polynomial, diff_apply, evaluate_minors, pair
 from gtagkz.series import agkz_solution, gamma_series
 from gtagkz.verify import _random_combination, seeded_matrices
-from gtagkz import _linalg
+import _linalg
 
 
 def random_span_element(polys, rng):

@@ -7,7 +7,8 @@ from math import factorial
 
 import pytest
 
-from gtagkz import _linalg, polyengine, verify
+import _linalg
+from gtagkz import polyengine, verify
 from gtagkz.combinatorics import enumerate_subsets
 from gtagkz.gtbasis import build_basis
 from gtagkz.lattice import ExponentVector

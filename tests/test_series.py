@@ -22,9 +22,11 @@ from gtagkz.series import (
     agkz_solution,
     f_pair_series,
     feasible_down_shifts,
+    feasible_up_shifts,
     gamma_series,
     j_pair_series,
     j_series,
+    j_value,
     rising,
 )
 
@@ -215,6 +217,59 @@ def test_f_pair_series_requires_disjoint_supports():
     gamma = shift_from_diagram(d).gamma
     with pytest.raises(ValueError):
         f_pair_series(gamma, (1,), (1,))
+
+
+@pytest.mark.parametrize("bad", [(1, 0, 0, 0), (0, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, 0, 0, -2)])
+def test_series_reject_a_malformed_multi_index(bad):
+    """A multi-index must have one nonnegative part per lattice direction (5 for gl4)."""
+    gamma = canonical_shifts(enumerate_diagrams((2, 1, 0, 0)))[3].gamma
+    with pytest.raises(ValueError):
+        j_series(gamma, bad)
+    with pytest.raises(ValueError):
+        j_pair_series(gamma, bad, (0,) * 5)
+    with pytest.raises(ValueError):
+        j_pair_series(gamma, (0,) * 5, bad)
+    with pytest.raises(ValueError):
+        f_pair_series(gamma, bad, (0,) * 5)
+    with pytest.raises(ValueError):
+        f_pair_series(gamma, (0,) * 5, bad)
+
+
+def test_malformed_multi_index_raises_on_an_empty_coset():
+    bad = ExponentVector(3, [((1,), 2), ((2,), -1)])
+    for s in ((), (0, 0), (-1,)):
+        with pytest.raises(ValueError):
+            j_series(bad, s)
+        with pytest.raises(ValueError):
+            j_value(bad, s)
+        with pytest.raises(ValueError):
+            f_pair_series(bad, s, (0,))
+
+
+@pytest.mark.parametrize("top", [(8, 4, 0), (3, 1, 0, 0), (3, 2, 1, 0)])
+def test_j_value_is_the_j_series_at_ones(top):
+    """On every representative the solutions and the canonical forms read, with
+    their own shift and with a few more multi-indices."""
+    n = len(top)
+    k = len(lattice_basis(n))
+    rng = random.Random(5)
+    lattice_sum = ExponentVector.zero(n)
+    for vec in lattice_basis(n):
+        lattice_sum = lattice_sum + vec.v
+    cases = []
+    for shift in canonical_shifts(enumerate_diagrams(top)):
+        gamma = shift.gamma
+        cases += [(gamma - r_shift(n, s), s) for s in feasible_down_shifts(gamma)]
+        cases += [(gamma + lattice_sum, s) for s in feasible_up_shifts(gamma)]
+        cases += [(gamma, tuple(rng.randint(0, 2) for _ in range(k))) for _ in range(2)]
+    nonzero = 0
+    for vector, s in cases:
+        value = j_value(vector, s)
+        assert type(value) is Fraction
+        assert value == evaluate_at_ones(j_series(vector, s))
+        nonzero += value != 0
+    assert nonzero > len(cases) // 2
+    assert j_value(ExponentVector(3, [((1,), 2), ((2,), -1)]), (0,)) == 0
 
 
 def test_f_pair_series_matches_direct_pairings_on_chains():
