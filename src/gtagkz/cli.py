@@ -265,6 +265,8 @@ def cmd_verify(args) -> int:
     names = None
     if args.checks:
         names = [part.strip() for part in args.checks.split(",") if part.strip()]
+        if not names:
+            raise UsageError(f"--checks names no check, got {args.checks!r}")
         for name in names:
             if name not in CHECKS:
                 raise UsageError(f"unknown check {name!r}")
@@ -306,11 +308,14 @@ def cmd_eval(args) -> int:
         raise UsageError(f"terms must be a list, got {json.dumps(terms)}")
     poly = poly_from_json(n, terms)
     if args.matrix:
-        matrix = json.loads(args.matrix)
+        try:
+            matrix = json.loads(args.matrix)
+        except json.JSONDecodeError as error:
+            raise UsageError(f"--matrix must be valid JSON, got {args.matrix!r}: {error}") from None
         if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-            raise UsageError(f"--matrix must be a list of lists, got {args.matrix}")
+            raise UsageError(f"--matrix must be a list of lists, got {args.matrix!r}")
         if not all(_is_number(entry) for row in matrix for entry in row):
-            raise UsageError(f"--matrix entries must be finite numbers, got {args.matrix}")
+            raise UsageError(f"--matrix entries must be finite numbers, got {args.matrix!r}")
         value = evaluate_minors(poly, matrix)
     else:
         value = evaluate_at_ones(poly)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 Subset = tuple  # sorted tuple of distinct ints in 1..n
 
@@ -135,25 +135,22 @@ def enumerate_diagrams(top_row):
         raise ValueError(f"top row must be weakly decreasing, got {list(values)}")
     if values[-1] != 0:
         raise ValueError(f"top row must end in 0, got {list(values)}")
+    return [GTDiagram(rows) for rows in _pattern_rows(values)]
 
-    def descend(rows):
-        upper = rows[-1]
-        if len(upper) == 1:
-            yield GTDiagram(tuple(rows))
-            return
-        span = [range(upper[i + 1], upper[i] + 1) for i in range(len(upper) - 1)]
 
-        def fill(prefix, position):
-            if position == len(span):
-                yield tuple(prefix)
-                return
-            for value in span[position]:
-                yield from fill(prefix + [value], position + 1)
+def _pattern_rows(top, sums=None):
+    """Rows of the Gelfand-Tsetlin patterns under top, in lexicographic order.
 
-        for lower in fill([], 0):
-            yield from descend(rows + [lower])
-
-    return sorted(descend([values]), key=lambda d: d.rows)
+    With sums, only the patterns whose row of length j sums to sums[j].
+    There are none when top is not weakly decreasing.
+    """
+    if len(top) == 1:
+        yield (top,)
+        return
+    for row in product(*(range(low, high + 1) for high, low in zip(top, top[1:]))):
+        if sums is None or sum(row) == sums[len(row)]:
+            for rest in _pattern_rows(row, sums):
+                yield (top,) + rest
 
 
 def highest_diagram(top_row) -> GTDiagram:

@@ -189,7 +189,7 @@ class CoefficientTable:
             lowers = []
             for jdx in same_weight[weights[idx]]:
                 other = basis.entries[jdx]
-                l = _witness_gap(entry, other)
+                l = coset_leq(other.shift.gamma, entry.shift.gamma)
                 if l is not None:
                     lowers.append((jdx, l))
                     self.C[(idx, l)] = coeff_C(entry.shift, l)
@@ -223,19 +223,6 @@ class CoefficientTable:
             norms[idx] = sum(
                 self.S[(idx, l)] * self.C_exact[(idx, l)] for _, l in self.lowers[idx]
             ) / diagonal
-
-
-def _witness_gap(upper: BasisEntry, lower: BasisEntry):
-    """The multi-index l with gamma(upper) - l.r = gamma(lower), if comparable.
-
-    Comparable entries have equal weight; the caller pairs only those.
-    """
-    if coset_leq(lower.shift.gamma, upper.shift.gamma, with_witness=False) is None:
-        return None
-    gap = tuple(a - b for a, b in zip(upper.witness, lower.witness))
-    if any(part < 0 for part in gap):
-        return None
-    return gap
 
 
 def gt_function(delta, basis: RepresentationBasis, table: CoefficientTable | None = None) -> Polynomial:

@@ -32,7 +32,7 @@ class ExponentVector:
     against 1.3 s and 45 MB, and the gl3 ladder only about 5% faster.
     """
 
-    __slots__ = ("n", "_entries", "_hash")
+    __slots__ = ("n", "_entries", "_hash", "_chi")
 
     def __init__(self, n, entries=()):
         positions = subset_position(n)
@@ -52,6 +52,7 @@ class ExponentVector:
             tuple(sorted(((X, v) for X, v in merged.items() if v), key=lambda t: positions[t[0]])),
         )
         object.__setattr__(self, "_hash", hash((n, self._entries)))
+        object.__setattr__(self, "_chi", None)  # chi_table(self), once asked for
 
     def __setattr__(self, name, value):
         raise AttributeError("ExponentVector is immutable")
@@ -138,17 +139,6 @@ def multi_factorial(values) -> int:
     return product
 
 
-# Bounded memo sizes.  A cold (8,4,0) basis reads 189 distinct chi tables and
-# searches 125 classes; basis plus verify of all 17 n = 3, 4 weights with
-# dimension <= 15 in one process reads 391 and searches 157; neither evicts.
-# A cold basis 2,1,1,0,0,0 reads chi tables 10,409 times with 8,669 misses,
-# and 2,1,0,0,0,0,0 12,373 times with 10,699: the chi memo fills and evicts
-# there, while their 105 and 112 classes fit.  A long-lived process holds at
-# most this many entries.
-CHI_TABLE_CACHE_SIZE = 4096
-CLASS_POINTS_CACHE_SIZE = 4096
-
-
 @lru_cache(maxsize=None)
 def _chi_incidence(n: int):
     """Map subset -> the chi_pairs indices of the functionals counting it, ascending.
@@ -166,25 +156,27 @@ def _chi_incidence(n: int):
     }
 
 
-def _chi_values(v: ExponentVector):
-    """Values of every chi_p^q on v, in chi_pairs order."""
-    incidence = _chi_incidence(v.n)
-    values = [0] * len(chi_pairs(v.n))
-    for X, value in v.items():
-        for c in incidence[X]:
-            values[c] += value
-    return tuple(values)
-
-
-@lru_cache(maxsize=CHI_TABLE_CACHE_SIZE)
 def chi_table(v: ExponentVector):
-    """Values of every chi_p^q on v, in chi_pairs order (memoized per vector)."""
-    return _chi_values(v)
+    """Values of every chi_p^q on v, in chi_pairs order; v keeps them after the first call."""
+    if v._chi is None:
+        incidence = _chi_incidence(v.n)
+        sums = [0] * len(chi_pairs(v.n))
+        for X, value in v.items():
+            for c in incidence[X]:
+                sums[c] += value
+        object.__setattr__(v, "_chi", tuple(sums))
+    return v._chi
 
 
 def in_lattice(v: ExponentVector) -> bool:
-    """True iff every counting functional vanishes on v."""
-    return not any(_chi_values(v))
+    """True iff every counting functional vanishes on v; unlike chi_table, keeps
+    nothing on v (a tuple on every basis vector is about 2 MB for n = 12)."""
+    incidence = _chi_incidence(v.n)
+    sums = [0] * len(chi_pairs(v.n))
+    for X, value in v.items():
+        for c in incidence[X]:
+            sums[c] += value
+    return not any(sums)
 
 
 @dataclass(frozen=True)
@@ -341,7 +333,12 @@ def coset_leq(gamma: ExponentVector, delta: ExponentVector, *, with_witness=True
     for (p, q), amount in defect.items():
         witness[index[(p, q, q + 1, ())]] = amount
     s = tuple(witness)
-    assert chi_table(gamma + r_shift(n, s)) == chi_table(delta)
+    moved = list(chi_table(gamma))  # chi(gamma + s.r), chi being linear
+    for vec, amount in zip(lattice_basis(n), s):
+        if amount:
+            for c, value in enumerate(chi_table(vec.r)):
+                moved[c] += amount * value
+    assert tuple(moved) == chi_table(delta)
     return s
 
 
@@ -480,11 +477,27 @@ def _search_plan(n: int):
     )
 
 
+# Bounded memo size.  The class table is read once per series call and holds
+# one entry per class: a cold (8,4,0) basis asks 721 times for 125 classes;
+# basis plus verify of all 17 n = 3, 4 weights with dimension <= 15 in one
+# process asks 1,651 times for 157; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0
+# ask 9,732 and 10,849 times for 105 and 112.  None of these runs evicts, and
+# a long-lived process holds at most this many entries.
+CLASS_POINTS_CACHE_SIZE = 4096
+
+
 @lru_cache(maxsize=CLASS_POINTS_CACHE_SIZE)
-def _class_points(n: int, target: tuple):
-    """Dense nonnegative vectors x with chi_table(x) == target, sorted."""
+def _class_table(n: int, target: tuple):
+    """The nonnegative points x with chi_table(x) == target, as (triples, R):
+    the triples (x, T(x), x!) sorted by the dense x, and the residual R of
+    every point, asserted to be shared (None for a class without points).
+
+    A depth-first search over the coordinates, largest subset first, with what
+    remains of every chi constraint bounding each coordinate and forcing it
+    where that constraint closes.
+    """
     if any(value < 0 for value in target):
-        return ()
+        return (), None
     plan = _search_plan(n)
     points = []
     values = [0] * len(plan)
@@ -509,31 +522,32 @@ def _class_points(n: int, target: tuple):
                 residual[c] += value
 
     search(0)
-    return tuple(sorted(points))
+    subsets = enumerate_subsets(n)
+    triples, shared = [], None
+    for point in sorted(points):
+        t = _lattice_coordinates(n, point)
+        own = _residual(n, point, t)
+        assert shared is None or own == shared
+        shared = own
+        triples.append((ExponentVector(n, zip(subsets, point)), t, multi_factorial(point)))
+    return tuple(triples), shared
 
 
 def nonneg_points(gamma: ExponentVector):
-    """All nonnegative integer points of the shifted lattice gamma + B.
-
-    A depth-first search over the coordinates, largest subset first, with the
-    residual of every chi constraint bounding each coordinate and forcing it
-    where that constraint closes; the points depend only on the chi values
-    of gamma and are memoized per class.  Output order is lexicographic in
-    the dense coordinate vector; each call returns a new list.
-    """
-    n = gamma.n
-    subsets = enumerate_subsets(n)
-    return [ExponentVector(n, zip(subsets, point)) for point in _class_points(n, chi_table(gamma))]
+    """All nonnegative integer points of the shifted lattice gamma + B, a new
+    list on each call, lexicographic in the dense coordinates (see _class_table)."""
+    return [x for x, _, _ in _class_table(gamma.n, chi_table(gamma))[0]]
 
 
 @lru_cache(maxsize=None)
 def _coordinate_solver(n: int):
     """Back-substitution steps (b, pivot position, ((c, v_c[pivot]), ...)) for
-    the lattice coordinates t of a difference x - gamma = sum t_b v_b.
+    the lattice coordinates t of a vector y, those with y - sum t_b v_b zero
+    at every pivot.
 
     Basis vector v^(i,j,x,X) has coefficient +1 on its pivot subset
-    {1..i-1, j, x} + X, and the pivots are distinct, so t_b is the difference
-    at b's pivot minus t_c v_c[pivot] over the other vectors c touching it.
+    {1..i-1, j, x} + X, and the pivots are distinct, so t_b is y at b's pivot
+    minus t_c v_c[pivot] over the other vectors c touching it.
     These dependencies are acyclic; the steps come in an order that finishes
     every t_c before a step reads it, and a cycle raises ArithmeticError.
     """
@@ -558,11 +572,12 @@ def _coordinate_solver(n: int):
     return tuple((b, pivots[b], tuple(needs[b])) for b in order)
 
 
-def _lattice_coordinates(n: int, difference):
-    """The integers t with sum t_b v_b == difference (dense), for a lattice vector difference."""
+def _lattice_coordinates(n: int, vector):
+    """T(vector): the lattice coordinates of a dense integer vector, linear in
+    it; sum t_b v_b == vector for a lattice vector."""
     t = [0] * len(lattice_basis(n))
     for b, pivot, needs in _coordinate_solver(n):
-        t[b] = difference[pivot] - sum(t[c] * value for c, value in needs)
+        t[b] = vector[pivot] - sum(t[c] * value for c, value in needs)
     return tuple(t)
 
 
@@ -576,46 +591,54 @@ def _dense_directions(n: int):
     )
 
 
-# Bounded memo size.  A cold (8,4,0) basis asks 721 times for the points of
-# 125 representatives; basis plus verify of all 17 n = 3, 4 weights with
-# dimension <= 15 in one process asks 1587 times for 314; neither evicts.  A
-# cold basis 2,1,1,0,0,0 asks 9,732 times with 8,609 misses, and
-# 2,1,0,0,0,0,0 10,849 times with 10,609: both fill the memo and evict.  A
-# long-lived process holds at most this many entries.
-COSET_TABLE_CACHE_SIZE = 4096
+def _residual(n: int, vector, t):
+    """R = vector - sum t_b v_b for a dense vector and its coordinates t; two
+    vectors differ by a lattice vector exactly when their residuals agree,
+    and then by the difference of their coordinates."""
+    residual = list(vector)
+    for coefficient, direction in zip(t, _dense_directions(n)):
+        if coefficient:
+            for position, value in direction:
+                residual[position] -= coefficient * value
+    return tuple(residual)
 
 
-@lru_cache(maxsize=COSET_TABLE_CACHE_SIZE)
-def _coset_table(gamma: ExponentVector):
-    """Triples (x, t, x!) over nonneg_points(gamma) with x = gamma + t.v exactly.
+@lru_cache(maxsize=None)
+def _unit_coordinates(n: int):
+    """Map subset X -> the nonzero (b, T_b) of the unit vector at X; T is linear,
+    so these summed over a vector's entries are its coordinates."""
+    size = len(enumerate_subsets(n))
+    columns = {}
+    for X, position in subset_position(n).items():
+        unit = [0] * size
+        unit[position] = 1
+        columns[X] = tuple((b, value) for b, value in enumerate(_lattice_coordinates(n, unit)) if value)
+    return columns
 
-    Every point is checked when the entry is built, on dense int tuples:
-    gamma's dense vector plus sum t_b v_b over the dense directions must give
-    the point back.
+
+def _class_entry(gamma: ExponentVector):
+    """The triples of gamma's class in _class_table and gamma's own T(gamma).
+
+    T(gamma) is summed over gamma's entries from _unit_coordinates, and the
+    residual it leaves must be the class's, so every point x of the class is
+    gamma + (T(x) - T(gamma)).v exactly.
     """
     n = gamma.n
-    directions = _dense_directions(n)
-    subsets = enumerate_subsets(n)
-    base = gamma.dense()
-    table = []
-    for point in _class_points(n, chi_table(gamma)):
-        t = _lattice_coordinates(n, [a - b for a, b in zip(point, base)])
-        check = list(base)
-        for coefficient, direction in zip(t, directions):
-            if coefficient:
-                for position, value in direction:
-                    check[position] += coefficient * value
-        assert tuple(check) == point
-        table.append((ExponentVector(n, zip(subsets, point)), t, multi_factorial(point)))
-    return tuple(table)
+    triples, residual = _class_table(n, chi_table(gamma))
+    columns = _unit_coordinates(n)
+    t = [0] * len(lattice_basis(n))
+    for X, value in gamma.items():
+        for b, entry in columns[X]:
+            t[b] += value * entry
+    assert not triples or _residual(n, gamma.dense(), t) == residual
+    return triples, t
 
 
 def coset_points(gamma: ExponentVector):
     """Pairs (x, t) over nonneg_points(gamma) with x = gamma + t.v exactly.
 
-    A new list on each call, read from the memoized _coset_table(gamma) (see
-    COSET_TABLE_CACHE_SIZE): the points, their lattice coordinates t by
-    integer back-substitution, and x! are computed and checked once per
-    representative gamma, not once per call.
+    A new list on each call: t = T(x) - T(gamma), with T(x) read from the
+    class table and T(gamma) summed per call (see _class_entry).
     """
-    return [(x, t) for x, t, _ in _coset_table(gamma)]
+    triples, origin = _class_entry(gamma)
+    return [(x, tuple(a - b for a, b in zip(tx, origin))) for x, tx, _ in triples]

@@ -9,14 +9,13 @@ paired series whose value at A = 1 reproduces scalar products of solutions.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import GTDiagram, chi_pairs
+from .combinatorics import GTDiagram, _pattern_rows, chi_pairs
 from .lattice import (
     ExponentVector,
-    _coset_table,
+    _class_entry,
     chi_table,
     lattice_basis,
     multi_factorial,
@@ -55,16 +54,18 @@ def _horn_terms(vector: ExponentVector, *indices):
     weight / x!, one per coset point of nonzero weight.
 
     The weight is the product over the multi-indices s of (t+1)...(t+s) per
-    lattice direction, with t the point's lattice coordinates; with no
-    multi-index it is 1 and the series is the plain lattice series.
+    lattice direction, with t = T(x) - T(vector) the point's lattice
+    coordinates; with no multi-index it is 1 and the series is the plain
+    lattice series.
     """
     factors = [
         (b, part) for s in indices for b, part in enumerate(_multi_index(vector.n, s)) if part
     ]
-    for x, t, x_factorial in _coset_table(vector):
+    triples, origin = _class_entry(vector)
+    for x, tx, x_factorial in triples:
         weight = 1
         for b, part in factors:
-            weight *= rising(t[b], part)
+            weight *= rising(tx[b] - origin[b], part)
             if weight == 0:
                 break
         if weight:
@@ -96,20 +97,6 @@ def j_value(gamma, s) -> Fraction:
     """
     terms = _horn_terms(_gamma_of(gamma), s)
     return rational_sum((weight, x_factorial) for _, weight, x_factorial in terms)
-
-
-def _pattern_rows(top, sums):
-    """Rows of the Gelfand-Tsetlin patterns under top whose row of length j sums to sums[j].
-
-    There are none when top is not weakly decreasing.
-    """
-    if len(top) == 1:
-        yield (top,)
-        return
-    for row in itertools.product(*(range(low, high + 1) for high, low in zip(top, top[1:]))):
-        if sum(row) == sums[len(row)]:
-            for rest in _pattern_rows(row, sums):
-                yield (top,) + rest
 
 
 # Bounded memo size.  A cold (8,4,0) basis asks 125 times for the patterns of

@@ -125,6 +125,14 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", [",,", " , "])
+def test_verify_checks_naming_no_check_is_a_usage_error(capsys, checks):
+    code, out, err = run(capsys, "verify", "2,1,0", "--checks", checks)
+    assert_usage_error(code, err)
+    assert out == ""
+    assert "--checks" in err
+
+
 def test_verify_gl3_check_needs_n3(capsys):
     code, _, err = run(capsys, "verify", "1,1,0,0", "--checks", "gl3-closed-form")
     assert code == 2
@@ -207,6 +215,8 @@ def test_eval_object_without_n_or_terms(tmp_path, capsys):
         ({"n": 2, "terms": []}, '[["1", 0], [0, 1]]'),
         ({"n": 2, "terms": []}, "[[true, 0], [0, 1]]"),
         ({"n": 2, "terms": []}, "[[Infinity, 0], [0, 1]]"),
+        ({"n": 2, "terms": []}, "[[1"),
+        ({"n": 2, "terms": []}, "[[1, 0],\n 0]"),
     ],
 )
 def test_eval_rejects_wrongly_typed_input(document, matrix, tmp_path, capsys):

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtagkz import lattice
 
@@ -20,6 +21,7 @@ from gtagkz.lattice import (
     canonical_shift_table,
     canonical_shifts,
     chi_table,
+    combine,
     comparability_components,
     coset_leq,
     coset_points,
@@ -31,6 +33,7 @@ from gtagkz.lattice import (
     r_shift,
     shift_from_diagram,
 )
+from gtagkz.gtbasis import weyl_dimension
 from gtagkz.polyengine import exponent_factorial
 from gtagkz.series import feasible_down_shifts
 
@@ -253,20 +256,20 @@ def test_coset_points_recover_integral_coordinates():
 
 
 def test_coset_points_check_fires_on_a_wrong_solver(monkeypatch):
-    """The dense per-point check catches coordinates that do not rebuild the
-    point; the memoized table is cleared so that the entry is built again."""
+    """The shared-residual check catches coordinates that do not rebuild the
+    points; the memoized class table is cleared so that the entry is built again."""
     gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma
     assert any(any(t) for _, t in coset_points(gamma))
     solve = lattice._lattice_coordinates
     monkeypatch.setattr(
         lattice, "_lattice_coordinates", lambda n, difference: tuple(-t for t in solve(n, difference))
     )
-    lattice._coset_table.cache_clear()
+    lattice._class_table.cache_clear()
     try:
         with pytest.raises(AssertionError):
             coset_points(gamma)
     finally:
-        lattice._coset_table.cache_clear()
+        lattice._class_table.cache_clear()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -286,17 +289,85 @@ def test_lattice_coordinates_round_trip(n):
 
 def test_coset_table_is_immutable_and_coset_points_is_a_fresh_list():
     gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma
-    table = lattice._coset_table(gamma)
+    table, _ = lattice._class_table(gamma.n, chi_table(gamma))
     assert isinstance(table, tuple) and len(table) > 1
     assert all(isinstance(entry, tuple) and isinstance(entry[1], tuple) for entry in table)
     assert [x for x, _, _ in table] == nonneg_points(gamma)
     assert all(x_factorial == exponent_factorial(x) for x, _, x_factorial in table)
     first = coset_points(gamma)
     second = coset_points(gamma)
-    assert first == second == [(x, t) for x, t, _ in table]
+    origin = lattice._lattice_coordinates(gamma.n, gamma.dense())
+    assert first == second == [(x, tuple(a - b for a, b in zip(tx, origin))) for x, tx, _ in table]
     assert first is not second
     first.clear()
     assert coset_points(gamma) == second
+
+
+# dominant weights ending in 0, n = 3..5, of Weyl dimension at most 20
+SMALL_WEIGHTS = (
+    st.integers(3, 5)
+    .flatmap(lambda n: st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))
+    .map(lambda steps: tuple(sum(steps[i:]) for i in range(len(steps))) + (0,))
+    .filter(lambda top: weyl_dimension(top) <= 20)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(top=SMALL_WEIGHTS, data=st.data())
+def test_coset_points_of_a_translate_shift_coordinates_by_the_translation(top, data):
+    """gamma + c.v has the points of gamma, each at coordinates t - c."""
+    n = len(top)
+    gamma = shift_from_diagram(data.draw(st.sampled_from(enumerate_diagrams(top)))).gamma
+    basis = lattice_basis(n)
+    c = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    translate = gamma + combine([vec.v for vec in basis], c, n)
+    expected = [(x, tuple(a - b for a, b in zip(t, c))) for x, t in coset_points(gamma)]
+    assert coset_points(translate) == expected
+
+
+def test_translates_share_one_class_table_entry():
+    gamma = shift_from_diagram(GTDiagram(((2, 1, 0, 0), (2, 1, 0), (2, 0), (1,)))).gamma
+    lattice._class_table.cache_clear()
+    assert coset_points(gamma)
+    for vec in lattice_basis(4):
+        assert nonneg_points(gamma + vec.v) == nonneg_points(gamma - 2 * vec.v)
+        assert len(coset_points(gamma + vec.v)) == len(coset_points(gamma))
+    assert lattice._class_table.cache_info().misses == 1
+
+
+def test_class_table_check_fires_on_a_wrong_solver(monkeypatch):
+    """Points of one class whose coordinates leave different residuals are
+    refused when the entry is built, before any representative is read."""
+    gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma
+    assert len(nonneg_points(gamma)) > 1
+    solve = lattice._lattice_coordinates
+    monkeypatch.setattr(
+        lattice, "_lattice_coordinates", lambda n, vector: tuple(-t for t in solve(n, vector))
+    )
+    lattice._class_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            lattice._class_table(3, chi_table(gamma))
+    finally:
+        lattice._class_table.cache_clear()
+
+
+def test_coset_points_check_fires_on_a_corrupted_offset(monkeypatch):
+    """A sound class entry with a wrong T(gamma): the representative's residual
+    no longer matches the class's, so the per-call check fires."""
+    gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma + lattice_basis(3)[0].v
+    assert any(lattice._lattice_coordinates(3, gamma.dense()))
+    assert coset_points(gamma)  # the class entry, built with the true solver
+    solve = lattice._lattice_coordinates
+    monkeypatch.setattr(
+        lattice, "_lattice_coordinates", lambda n, vector: tuple(-t for t in solve(n, vector))
+    )
+    lattice._unit_coordinates.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            coset_points(gamma)
+    finally:
+        lattice._unit_coordinates.cache_clear()
 
 
 LADDER = [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0), (2, 1, 0, 0), (2, 2, 1, 0), (3, 1, 0, 0)]
