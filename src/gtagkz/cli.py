@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -32,6 +33,13 @@ SCHEMA = "gt-agkz/1"
 # Largest n accepted where the 2^n - 1 subsets of 1..n are enumerated: lattice
 # 12 takes about 1 s, lattice 14 about 5 s, and each step doubles the subsets.
 MAX_N = 12
+
+
+# Commands whose positional argument is a weight.  argparse reads a weight
+# like -1,-2,-3 as an unknown option (only a single number such as -1 passes
+# as a positional), so such a weight must come after --.
+WEIGHT_COMMANDS = ("diagrams", "basis", "gram", "verify")
+OPTION_LIKE_WEIGHT = re.compile(r"-\d[\d,-]*,[\d,-]*")
 
 
 class UsageError(Exception):
@@ -382,8 +390,28 @@ def _formatted(p):
     _common(p)
 
 
+def _option_like_weight(argv):
+    """The weight argparse would take for an option, before any --, or None."""
+    if argv and argv[0] in WEIGHT_COMMANDS:
+        for token in argv[1:]:
+            if token == "--":
+                break
+            if OPTION_LIKE_WEIGHT.fullmatch(token):
+                return token
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    weight = _option_like_weight(argv)
+    if weight is not None:
+        print(
+            f"error: weight {weight!r} reads as an option; put it last, after --: "
+            f"gt-agkz {argv[0]} [options] -- {weight}",
+            file=sys.stderr,
+        )
+        return 2
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -27,6 +27,7 @@ from .lattice import (
 from .polyengine import Polynomial, pair, rational_sum
 from .series import (
     _gamma_of,
+    _horn_value,
     agkz_solution,
     f_pair_terms,
     feasible_down_shifts,
@@ -138,9 +139,8 @@ def coeff_C_alt(delta, l) -> Fraction:
         a = tuple(x + y for x, y in zip(u, l))
         norm = Fraction(1, multi_factorial(a) * multi_factorial(u))
         expansions = [_pochhammer_expansion(a_part, u_part) for a_part, u_part in zip(a, u)]
-        subscript = base - r_shift(n, u)
         for c, weight in _expansion_products(expansions):
-            value = j_value(subscript, c)
+            value = _horn_value(base, c, down=u)
             if value:
                 total += sign_l * norm * weight * value
     return total

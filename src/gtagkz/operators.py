@@ -10,7 +10,7 @@ the derivative along the third Plucker monomial.
 
 from __future__ import annotations
 
-from .lattice import ExponentVector, lattice_basis
+from .lattice import lattice_basis
 from .polyengine import Polynomial, diff_apply
 
 
@@ -40,29 +40,23 @@ def e_action(i: int, j: int, f: Polynomial) -> Polynomial:
             others = tuple(y for y in X if y != j)
             target = tuple(sorted(others + (i,)))
             sign = _substitution_sign(i, j, others)
-            shifted = (
-                exponent
-                - ExponentVector.unit(n, X)
-                + ExponentVector.unit(n, target)
-            )
+            # X and target have one size, so lex order is canonical order
+            shifted = exponent._merge(tuple(sorted(((X, -1), (target, 1)))), 1)
             result.append((shifted, coefficient * power * sign))
     return Polynomial(n, result)
-
-
-def _second_derivative(part: ExponentVector, f: Polynomial) -> Polynomial:
-    return diff_apply(Polynomial.monomial(part), f)
 
 
 def gkz_apply(alpha: int, f: Polynomial) -> Polynomial:
     """Difference of second derivatives along v_plus and v_minus of basis vector alpha."""
     vec = lattice_basis(f.n)[alpha]
-    return _second_derivative(vec.v_plus, f) - _second_derivative(vec.v_minus, f)
+    operator = Polynomial(f.n, [(vec.v_plus, 1), (vec.v_minus, -1)])
+    return diff_apply(operator, f)
 
 
 def agkz_apply(alpha: int, f: Polynomial) -> Polynomial:
-    """The antisymmetrized operator: GKZ part plus the v_zero second derivative."""
-    vec = lattice_basis(f.n)[alpha]
-    return gkz_apply(alpha, f) + _second_derivative(vec.v_zero, f)
+    """The antisymmetrized operator: GKZ part plus the v_zero second derivative,
+    that is the Plucker generator of alpha applied as a differential operator."""
+    return diff_apply(plucker_generator(f.n, alpha), f)
 
 
 def plucker_generator(n: int, alpha: int) -> Polynomial:

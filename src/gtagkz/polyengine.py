@@ -133,16 +133,14 @@ def diff_apply(f: Polynomial, g: Polynomial) -> Polynomial:
     result = []
     for u, cf in f.terms.items():
         for w, cg in g.terms.items():
-            shifted = w - u
-            if not shifted.is_nonnegative():
-                continue
             scale = 1
             for X, power in u.items():
-                scale *= _falling(w[X], power)
-                if scale == 0:
+                have = w[X]
+                if have < power:  # w - u is negative at X
                     break
-            if scale:
-                result.append((shifted, cf * cg * scale))
+                scale *= _falling(have, power)
+            else:
+                result.append((w - u, cf * cg * scale))
     return Polynomial(f.n, result)
 
 
@@ -227,14 +225,22 @@ def evaluate_minors(f: Polynomial, matrix) -> Fraction:
 
 
 def evaluate_at_minors(f: Polynomial, values) -> Fraction:
-    """Evaluate f at minor values computed once, as returned by minor_values."""
-    total = Fraction(0)
+    """Evaluate f at minor values computed once, as returned by minor_values.
+
+    Each term is an integer (numerator, denominator) pair, and rational_sum
+    adds them over one common denominator; a minor value is an int or a
+    Fraction, and both carry numerator and denominator.
+    """
+    terms = []
     for exponent, coefficient in f.terms.items():
         monomial = 1
         for X, power in exponent.items():
             monomial *= values[X] ** power
-        total += coefficient * monomial
-    return total
+        terms.append((
+            coefficient.numerator * monomial.numerator,
+            coefficient.denominator * monomial.denominator,
+        ))
+    return rational_sum(terms)
 
 
 def subset_to_str(X) -> str:

@@ -20,7 +20,6 @@ from .lattice import (
     lattice_basis,
     multi_factorial,
     r_routes,
-    r_shift,
     shift_from_diagram,
 )
 from .polyengine import Polynomial, rational_sum
@@ -49,19 +48,20 @@ def _multi_index(n: int, s) -> tuple:
     return s
 
 
-def _horn_terms(vector: ExponentVector, *indices):
-    """The Horn-type series at vector as integers (x, weight, x!), coefficient
-    weight / x!, one per coset point of nonzero weight.
+def _horn_terms(vector: ExponentVector, *indices, down=None):
+    """The Horn-type series at vector - down.r as integers (x, weight, x!),
+    coefficient weight / x!, one per coset point of nonzero weight.
 
     The weight is the product over the multi-indices s of (t+1)...(t+s) per
-    lattice direction, with t = T(x) - T(vector) the point's lattice
+    lattice direction, with t = T(x) - T(vector - down.r) the point's lattice
     coordinates; with no multi-index it is 1 and the series is the plain
-    lattice series.
+    lattice series.  The representative vector - down.r is never built (see
+    lattice._class_entry).
     """
     factors = [
         (b, part) for s in indices for b, part in enumerate(_multi_index(vector.n, s)) if part
     ]
-    triples, origin = _class_entry(vector)
+    triples, origin = _class_entry(vector, down)
     for x, tx, x_factorial in triples:
         weight = 1
         for b, part in factors:
@@ -95,7 +95,12 @@ def j_value(gamma, s) -> Fraction:
 
     Sums the integer terms over one common denominator; builds no polynomial.
     """
-    terms = _horn_terms(_gamma_of(gamma), s)
+    return _horn_value(_gamma_of(gamma), s)
+
+
+def _horn_value(vector: ExponentVector, s, down=None) -> Fraction:
+    """j_value at the representative vector - down.r, without building it."""
+    terms = _horn_terms(vector, s, down=down)
     return rational_sum((weight, x_factorial) for _, weight, x_factorial in terms)
 
 
@@ -184,7 +189,7 @@ def agkz_solution(gamma) -> Polynomial:
         norm = multi_factorial(s)
         terms.extend(
             (x, Fraction(sign * weight, x_factorial * norm))
-            for x, weight, x_factorial in _horn_terms(vector - r_shift(n, s), s)
+            for x, weight, x_factorial in _horn_terms(vector, s, down=s)
         )
     return Polynomial(n, terms)
 
@@ -237,5 +242,5 @@ def f_pair_terms(delta: ExponentVector, l1, l2):
         a = tuple(x + y for x, y in zip(u, l1))
         b = tuple(x + y for x, y in zip(u, l2))
         norm = multi_factorial(a) * multi_factorial(b)
-        for x, weight, x_factorial in _horn_terms(vector - r_shift(n, u), a, b):
+        for x, weight, x_factorial in _horn_terms(vector, a, b, down=u):
             yield x, sign * weight, x_factorial * norm

@@ -76,6 +76,23 @@ def test_basis_nonzero_tail_reduction(capsys):
     assert document["full_set_prefactor_power"] == 1
 
 
+@pytest.mark.parametrize("command", ["diagrams", "basis", "gram", "verify"])
+def test_negative_leading_weight_is_one_usage_error_naming_the_separator(command, capsys):
+    """argparse reads -1,-2,-3 as an option; the error says to put it after --,
+    where it is the weight (2,1,0) raised by the full-set prefactor -3."""
+    options = ["--format", "json"] if command != "verify" else ["--seed", "1"]
+    code, out, err = run(capsys, command, "-1,-2,-3", *options)
+    assert_usage_error(code, err)
+    assert out == ""
+    assert f"gt-agkz {command} [options] -- -1,-2,-3" in err
+    if command == "basis":
+        code, out, _ = run(capsys, "basis", "--format", "json", "--", "-1,-2,-3")
+        assert code == 0
+        document = json.loads(out)
+        assert document["top_row"] == [2, 1, 0]
+        assert document["full_set_prefactor_power"] == -3
+
+
 def test_basis_output_deterministic(capsys):
     _, first, _ = run(capsys, "basis", "2,1,0", "--format", "json")
     _, second, _ = run(capsys, "basis", "2,1,0", "--format", "json")

@@ -1,9 +1,10 @@
 """Whole-document golden test: the bytes of `basis W --format json`.
 
 The digests are the sha256 of the full stdout of `gt-agkz basis W --format
-json`, recorded from commit b2dc021.  A change that moves any byte of these
-documents fails here; re-record a digest only for an intended output change,
-and say so.
+json`, recorded from commit b2dc021; the gl6 weight 2,1,1,0,0,0 was recorded
+from commit 844cd93, so that a digest also covers n >= 6.  A change that
+moves any byte of these documents fails here; re-record a digest only for an
+intended output change, and say so.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ GOLDEN = {
     "3,1,0,0": "c7a9c7183c8aa65a0dc86a6c0f19eded196b0605ae2598369b86c99da3da5496",
     "3,2,1,0": "273206aeecd40b4f0453892cc307d105efb0ff7b2ceba78bf499dbaa5b3f4ca0",
     "2,1,0,0,0": "2801d4951088622798eb5482eaa506e954daf7494a086e21ee5b13cd85ec90ca",
+    "2,1,1,0,0,0": "a19b160b1a18ad92102e6a1e5614462fe2bf113804e6d965196aff5f78d0cc2d",
 }
 
 

@@ -370,6 +370,80 @@ def test_coset_points_check_fires_on_a_corrupted_offset(monkeypatch):
         lattice._unit_coordinates.cache_clear()
 
 
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_merged_arithmetic_equals_the_validating_constructor(data):
+    """+, - and unary - merge canonical entries without re-validating; each
+    result equals, hashes and orders like the vector built from the raw entries,
+    also where entries cancel partly or fully."""
+    n = data.draw(st.integers(3, 5))
+    entries = st.lists(
+        st.tuples(st.sampled_from(enumerate_subsets(n)), st.integers(-3, 3)), max_size=6
+    )
+    a_items, b_items = data.draw(entries), data.draw(entries)
+    b_items += [(X, -v) for X, v in data.draw(st.lists(st.sampled_from(a_items or [((1,), 0)])))]
+    a, b = ExponentVector(n, a_items), ExponentVector(n, b_items)
+    negated = lambda items: [(X, -v) for X, v in items]
+    cases = [
+        (a + b, a_items + b_items),
+        (a - b, a_items + negated(b_items)),
+        (b - a, b_items + negated(a_items)),
+        (-a, negated(a_items)),
+        (a - a, []),
+        (a + -a, []),
+        (a + (b - a), b_items),
+    ]
+    for got, items in cases:
+        fresh = ExponentVector(n, items)
+        assert got == fresh
+        assert hash(got) == hash(fresh)
+        assert got.items() == fresh.items()
+        assert got.dense() == fresh.dense()
+        assert chi_table(got) == chi_table(fresh)
+    X = data.draw(st.sampled_from(enumerate_subsets(n)))
+    assert ExponentVector.unit(n, list(X)) == ExponentVector(n, [(X, 1)])
+
+
+def test_unit_rejects_a_non_subset():
+    with pytest.raises(ValueError):
+        ExponentVector.unit(3, (4,))
+
+
+@pytest.mark.parametrize("top", [(8, 4, 0), (3, 1, 0, 0), (2, 1, 0, 0, 0)])
+def test_class_entry_of_a_down_shift_equals_that_of_the_built_representative(top):
+    """The class and T of gamma - s.r, from gamma's and the r-direction
+    columns, equal those read off the vector itself, for every feasible s."""
+    n = len(top)
+    checked = 0
+    for shift in canonical_shifts(enumerate_diagrams(top)):
+        for s in feasible_down_shifts(shift):
+            expected = lattice._class_entry(shift.gamma - r_shift(n, s))
+            assert lattice._class_entry(shift.gamma, s) == expected
+            assert expected[0]
+            checked += any(s)
+    assert checked
+
+
+def test_class_entry_check_fires_on_a_corrupted_r_direction_column(monkeypatch):
+    """T(r) built from a wrong unit column, with R(r) computed from that same
+    T: the residual of gamma - s.r misses the class's, so the check fires."""
+    gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (1,)))).gamma
+    s = max(feasible_down_shifts(gamma))
+    assert any(s) and lattice._class_entry(gamma, s)[0]
+    columns = lattice._unit_coordinates(3)
+    X = next(X for X, _ in lattice_basis(3)[0].r.items() if columns[X])
+    wrong = {**columns, X: tuple((b, 2 * value) for b, value in columns[X])}
+    lattice._r_directions.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "_unit_coordinates", lambda n: wrong)
+            lattice._r_directions(3)
+        with pytest.raises(AssertionError):
+            lattice._class_entry(gamma, s)
+    finally:
+        lattice._r_directions.cache_clear()
+
+
 LADDER = [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0), (2, 1, 0, 0), (2, 2, 1, 0), (3, 1, 0, 0)]
 
 

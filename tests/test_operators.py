@@ -113,6 +113,38 @@ def test_gkz_operator_examples():
         assert gkz_apply(0, gamma_series(shift_from_diagram(d))).is_zero()
 
 
+def _second_derivative(part, f):
+    """The reference derivative along one quadratic monomial."""
+    return diff_apply(Polynomial.monomial(part), f)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_operators_equal_the_three_derivative_composition(n):
+    """gkz_apply is D(v+) - D(v-) and agkz_apply adds D(v0), on random
+    polynomials and on the lattice series and solutions of one weight."""
+    rng = random.Random(40 + n)
+    subsets = list(itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), size) for size in range(1, n + 1)
+    ))
+    polys = []
+    for _ in range(6):
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            exponent = ExponentVector(n, [(X, rng.randint(0, 3)) for X in rng.sample(subsets, 4)])
+            terms.append((exponent, Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
+        polys.append(Polynomial(n, terms))
+    top = (2, 1) + (0,) * (n - 2)
+    for shift in canonical_shifts(enumerate_diagrams(top)):
+        polys += [gamma_series(shift), agkz_solution(shift)]
+    for f in polys:
+        for alpha, vec in enumerate(lattice_basis(n)):
+            plus, minus, zero = (
+                _second_derivative(part, f) for part in (vec.v_plus, vec.v_minus, vec.v_zero)
+            )
+            assert gkz_apply(alpha, f) == plus - minus
+            assert agkz_apply(alpha, f) == plus - minus + zero
+
+
 def test_agkz_on_plucker_monomial():
     vec = lattice_basis(3)[0]
     result = agkz_apply(0, Polynomial.monomial(vec.v_zero))

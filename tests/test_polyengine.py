@@ -214,6 +214,29 @@ def test_evaluate_at_minors_matches_evaluate_minors():
             assert evaluate_at_minors(f, values) == evaluate_minors(f, matrix)
 
 
+def test_evaluate_at_minors_equals_a_fraction_loop_on_non_integral_entries():
+    """Fraction and float entries give Fraction minors; the integer pair sum
+    equals the plain Fraction sum of coefficient times monomial."""
+    rng = random.Random(23)
+    for n in (3, 4):
+        matrix = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)
+        ]
+        matrix[0][1] = 0.75
+        values = minor_values(matrix, n)
+        assert any(type(v) is Fraction and v.denominator > 1 for v in values.values())
+        polys = [random_poly(n, rng, terms=6, max_power=3) for _ in range(8)]
+        polys += [entry.agkz_poly for entry in build_basis((2, 1) + (0,) * (n - 2)).entries]
+        for f in polys:
+            expected = Fraction(0)
+            for exponent, coefficient in f.terms.items():
+                monomial = Fraction(1)
+                for X, power in exponent.items():
+                    monomial *= Fraction(values[X]) ** power
+                expected += coefficient * monomial
+            assert evaluate_at_minors(f, values) == expected
+
+
 def test_evaluate_minors_is_ring_homomorphism():
     rng = random.Random(5)
     matrix = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
