@@ -15,7 +15,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .combinatorics import enumerate_diagrams, normalize_weight
-from .gtbasis import CoefficientTable, build_basis, gram_matrix, gt_function, weyl_dimension
+from .gtbasis import build_basis, gram_matrix, representation, weyl_dimension
 from .lattice import in_lattice, lattice_basis, lattice_rank
 from .polyengine import (
     evaluate_at_ones,
@@ -188,9 +188,7 @@ def cmd_diagrams(args) -> int:
 
 def _basis_document(top_row):
     weight, prefactor = normalize_weight(top_row)
-    basis = build_basis(weight)
-    table = CoefficientTable(basis)
-    gt_polys = [gt_function(e.shift, basis, table) for e in basis.entries]
+    basis, table, gt_polys = representation(weight)
     entries = []
     for idx, entry in enumerate(basis.entries):
         entries.append(

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, prod
+from types import MappingProxyType
 
 from .combinatorics import GTDiagram, enumerate_diagrams
 from .lattice import (
@@ -112,15 +114,16 @@ def coeff_C(delta, l) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _pochhammer_expansion(a: int, b: int):
-    """Coefficients k_c with (t+1)..(t+a) (t+1)..(t+b) = sum_c k_c (t+1)..(t+c).
+    """Coefficients k_c with (t+1)..(t+a) (t+1)..(t+b) = sum_c k_c (t+1)..(t+c),
+    as a read-only map c -> k_c.
 
     Closed form: k_(a+b-j) = (-1)^j C(a, j) C(b, j) j! for j = 0..min(a, b),
     so c runs over max(a,b)..a+b.
     """
-    return {
+    return MappingProxyType({
         a + b - j: (-1) ** j * comb(a, j) * comb(b, j) * factorial(j)
         for j in range(min(a, b) + 1)
-    }
+    })
 
 
 def coeff_C_alt(delta, l) -> Fraction:
@@ -128,6 +131,8 @@ def coeff_C_alt(delta, l) -> Fraction:
 
     Expands each doubly weighted term into single Pochhammer series and
     evaluates those at 1: an independent computational route for coeff_C.
+    The expansion of a term is the product over the directions of their
+    integer expansion tables, so each expanded term carries an integer weight.
     """
     vector = _gamma_of(delta)
     n = vector.n
@@ -137,24 +142,15 @@ def coeff_C_alt(delta, l) -> Fraction:
     total = Fraction(0)
     for u in feasible_down_shifts(base):
         a = tuple(x + y for x, y in zip(u, l))
-        norm = Fraction(1, multi_factorial(a) * multi_factorial(u))
-        expansions = [_pochhammer_expansion(a_part, u_part) for a_part, u_part in zip(a, u)]
-        for c, weight in _expansion_products(expansions):
-            value = _horn_value(base, c, down=u)
+        norm = multi_factorial(a) * multi_factorial(u)
+        expansions = [
+            _pochhammer_expansion(a_part, u_part).items() for a_part, u_part in zip(a, u)
+        ]
+        for choice in product(*expansions):
+            value = _horn_value(base, tuple(c for c, _ in choice), down=u)
             if value:
-                total += sign_l * norm * weight * value
+                total += Fraction(sign_l * prod(k for _, k in choice), norm) * value
     return total
-
-
-def _expansion_products(expansions):
-    """Cartesian products of per-direction expansion tables."""
-    if not expansions:
-        yield (), Fraction(1)
-        return
-    head, *tail = expansions
-    for c_head, w_head in head.items():
-        for c_tail, w_tail in _expansion_products(tail):
-            yield (c_head,) + c_tail, w_head * w_tail
 
 
 class CoefficientTable:
@@ -165,6 +161,9 @@ class CoefficientTable:
     distinct nonnegative r-combinations join the same pair of classes; when
     such parallel routes exist (possible from n = 4 on) the closed form
     misses their cross terms, so S is always built from the exact pairings.
+
+    All four tables (C, C_exact, S and lowers, the (jdx, l) pairs below each
+    entry) are read-only mappings once the table is built.
 
     S[(idx, l)] is the coefficient of the solution at gap l below entry idx
     in its Gelfand-Tsetlin function G: exact Gram-Schmidt of F over the
@@ -194,7 +193,7 @@ class CoefficientTable:
                     lowers.append((jdx, l))
                     self.C[(idx, l)] = coeff_C(entry.shift, l)
                     self.C_exact[(idx, l)] = pair(entry.agkz_poly, other.agkz_poly)
-            self.lowers[idx] = lowers
+            self.lowers[idx] = tuple(lowers)
             if self.C_exact[(idx, zero)] == 0:
                 raise DegenerateMetricError(
                     f"zero diagonal coefficient at diagram {entry.diagram.rows}"
@@ -223,6 +222,11 @@ class CoefficientTable:
             norms[idx] = sum(
                 self.S[(idx, l)] * self.C_exact[(idx, l)] for _, l in self.lowers[idx]
             ) / diagonal
+        # a built table is shared (see representation), so no caller may change it
+        self.C = MappingProxyType(self.C)
+        self.C_exact = MappingProxyType(self.C_exact)
+        self.S = MappingProxyType(self.S)
+        self.lowers = MappingProxyType(self.lowers)
 
 
 def gt_function(delta, basis: RepresentationBasis, table: CoefficientTable | None = None) -> Polynomial:
@@ -244,6 +248,25 @@ def gt_function(delta, basis: RepresentationBasis, table: CoefficientTable | Non
         scale = table.S[(idx, l)]
         terms.extend((x, scale * c) for x, c in lower.agkz_poly.terms.items())
     return Polynomial(n, terms)
+
+
+# Bounded memo size.  `basis W` and then `verify W` in one process read one
+# representation, and a long-lived process holds at most this many; the
+# largest n = 8 representations take hundreds of MB, so the memo stays small.
+REPRESENTATION_CACHE_SIZE = 2
+
+
+@lru_cache(maxsize=REPRESENTATION_CACHE_SIZE)
+def representation(top_row: tuple):
+    """(basis, coefficient table, G functions as a tuple) of a top row, built
+    once per process for the most recent top rows and shared by every caller.
+
+    The key is the top row as given; the command line passes the normalized
+    one.  Everything returned is read-only.
+    """
+    basis = build_basis(top_row)
+    table = CoefficientTable(basis)
+    return basis, table, tuple(gt_function(e.shift, basis, table) for e in basis.entries)
 
 
 def gt_basis(basis: RepresentationBasis):

@@ -523,7 +523,7 @@ def _search_plan(n: int):
 # Bounded memo size.  The class table is read once per series call and holds
 # one entry per class: a cold (8,4,0) basis asks 721 times for 125 classes;
 # basis plus verify of all 17 n = 3, 4 weights with dimension <= 15 in one
-# process asks 1,651 times for 157; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0
+# process asks 1,148 times for 157; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0
 # ask 9,732 and 10,849 times for 105 and 112.  None of these runs evicts, and
 # a long-lived process holds at most this many entries.
 CLASS_POINTS_CACHE_SIZE = 4096

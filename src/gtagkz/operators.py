@@ -10,6 +10,8 @@ the derivative along the third Plucker monomial.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .lattice import lattice_basis
 from .polyengine import Polynomial, diff_apply
 
@@ -56,16 +58,21 @@ def gkz_apply(alpha: int, f: Polynomial) -> Polynomial:
 def agkz_apply(alpha: int, f: Polynomial) -> Polynomial:
     """The antisymmetrized operator: GKZ part plus the v_zero second derivative,
     that is the Plucker generator of alpha applied as a differential operator."""
-    return diff_apply(plucker_generator(f.n, alpha), f)
+    return diff_apply(plucker_generators(f.n)[alpha], f)
 
 
 def plucker_generator(n: int, alpha: int) -> Polynomial:
     """The quadratic Plucker relation attached to lattice basis vector alpha."""
-    vec = lattice_basis(n)[alpha]
-    return (
-        Polynomial.monomial(vec.v_plus)
-        - Polynomial.monomial(vec.v_minus)
-        + Polynomial.monomial(vec.v_zero)
+    return plucker_generators(n)[alpha]
+
+
+@lru_cache(maxsize=None)
+def plucker_generators(n: int):
+    """The Plucker relations of all lattice basis vectors, in their order,
+    built once per n."""
+    return tuple(
+        Polynomial(n, [(vec.v_plus, 1), (vec.v_minus, -1), (vec.v_zero, 1)])
+        for vec in lattice_basis(n)
     )
 
 

@@ -142,7 +142,7 @@ def _pattern_classes(n: int, top: tuple, sums: tuple, full: int):
 
 # Bounded memo size.  A cold (8,4,0) basis asks 350 times for the down shifts
 # of 125 vectors; basis plus verify of all 17 n = 3, 4 weights with dimension
-# <= 15 in one process asks 995 times for 232; cold basis 2,1,1,0,0,0 and
+# <= 15 in one process asks 675 times for 232; cold basis 2,1,1,0,0,0 and
 # 2,1,0,0,0,0,0 ask 255 and 259 times for 105 and 112.  None of these runs
 # evicts, and a long-lived process holds at most this many entries.
 FEASIBLE_SHIFT_CACHE_SIZE = 4096

@@ -11,22 +11,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial
+from types import MappingProxyType
 
 from .combinatorics import chi_pairs
 from .gtbasis import (
     AmbiguousSupportError,
     CoefficientTable,
     RepresentationBasis,
-    build_basis,
     canonical_form,
     coeff_C_alt,
-    gt_function,
     hypergeometric_constants,
+    representation,
 )
 from .lattice import lattice_basis, r_routes, r_shift
-from .operators import agkz_apply, e_action, euler_weighted, plucker_generator
+from .operators import agkz_apply, e_action, euler_weighted, plucker_generators
 from .polyengine import (
     Polynomial,
     diff_apply,
@@ -54,19 +55,43 @@ def seeded_matrices(n, seed, count, low=-5, high=5):
     """Deterministic nonsingular integer matrices with entries in [low, high].
 
     A candidate is kept when its full-set minor, its determinant, is nonzero.
+    Returns new lists, read from the memo of _seeded_matrices.
     """
+    matrices, _ = _seeded_matrices(n, seed, count, low, high)
+    return [[list(row) for row in matrix] for matrix in matrices]
+
+
+# Bounded memo size, keyed by n, seed, count and the entry range.  Every
+# weight of one n shares the matrices of a seed and count (verify's defaults
+# are seed 0 and 20 matrices, entries in [-5, 5]), so verifying the weights of
+# a few n needs one entry each; a long-lived process holds at most this many.
+MATRIX_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=MATRIX_CACHE_SIZE)
+def _seeded_matrices(n, seed, count, low, high):
+    """(matrices, minors) of seeded_matrices: the matrices as tuples of rows and
+    the read-only minor_values of each, which the nonsingularity filter computes."""
     rng = random.Random(seed)
     full = tuple(range(1, n + 1))
     matrices = []
+    minors = []
     while len(matrices) < count:
-        candidate = [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
-        if minor_values(candidate, n)[full] != 0:
+        candidate = tuple(tuple(rng.randint(low, high) for _ in range(n)) for _ in range(n))
+        values = minor_values(candidate, n)
+        if values[full] != 0:
             matrices.append(candidate)
-    return matrices
+            minors.append(MappingProxyType(values))
+    return tuple(matrices), tuple(minors)
 
 
 class VerifyContext:
-    """Lazily built shared state for the checks over one representation."""
+    """Lazily built shared state for the checks over one representation.
+
+    The basis, coefficient table and G functions are those of `basis`
+    (gtbasis.representation), and the matrices and their minors are shared by
+    every context of the same n, seed and count: all of them read-only.
+    """
 
     def __init__(self, top_row, seed=0, matrix_count=20):
         if matrix_count < 1:
@@ -75,50 +100,56 @@ class VerifyContext:
         self.n = len(self.top_row)
         self.seed = seed
         self.matrix_count = matrix_count
-        self._basis = None
-        self._table = None
-        self._gt = None
-        self._matrices = None
-        self._minors = None
+        self._plucker_nonzero = None
 
     @property
     def basis(self) -> RepresentationBasis:
-        if self._basis is None:
-            self._basis = build_basis(self.top_row)
-        return self._basis
+        return representation(self.top_row)[0]
 
     @property
     def table(self) -> CoefficientTable:
-        if self._table is None:
-            self._table = CoefficientTable(self.basis)
-        return self._table
+        return representation(self.top_row)[1]
 
     @property
     def gt_polys(self):
-        if self._gt is None:
-            self._gt = [gt_function(e.shift, self.basis, self.table) for e in self.basis.entries]
-        return self._gt
+        return representation(self.top_row)[2]
 
     @property
     def matrices(self):
-        if self._matrices is None:
-            self._matrices = seeded_matrices(self.n, self.seed, self.matrix_count)
-        return self._matrices
+        return self._seeded()[0]
 
     @property
     def minors(self):
-        """minor_values of each matrix, computed once for every check."""
-        if self._minors is None:
-            self._minors = [minor_values(matrix, self.n) for matrix in self.matrices]
-        return self._minors
+        """minor_values of each matrix, as the nonsingularity filter computed them."""
+        return self._seeded()[1]
+
+    def _seeded(self):
+        """(matrices, minors) of the context's seed and count, entries in [-5, 5]."""
+        return _seeded_matrices(self.n, self.seed, self.matrix_count, -5, 5)
+
+    @property
+    def plucker_nonzero(self):
+        """The pairs (solution index, alpha) with agkz_apply(alpha, F) nonzero: each
+        Plucker generator applied to each solution once, for both checks that
+        read it, and only whether the product vanishes kept."""
+        if self._plucker_nonzero is None:
+            k = len(lattice_basis(self.n))
+            self._plucker_nonzero = frozenset(
+                (idx, alpha)
+                for idx, entry in enumerate(self.basis.entries)
+                for alpha in range(k)
+                if not agkz_apply(alpha, entry.agkz_poly).is_zero()
+            )
+        return self._plucker_nonzero
 
 
 def check_agkz_annihilation(ctx: VerifyContext) -> CheckResult:
     failures = []
     k = len(lattice_basis(ctx.n))
-    for entry in ctx.basis.entries:
+    nonzero = ctx.plucker_nonzero
+    for idx, entry in enumerate(ctx.basis.entries):
         for alpha in range(k):
-            if not agkz_apply(alpha, entry.agkz_poly).is_zero():
+            if (idx, alpha) in nonzero:
                 failures.append((entry.diagram.rows, alpha))
     return CheckResult(
         "agkz-annihilation",
@@ -128,20 +159,22 @@ def check_agkz_annihilation(ctx: VerifyContext) -> CheckResult:
 
 
 def check_plucker_annihilation(ctx: VerifyContext) -> CheckResult:
+    """Each Plucker generator vanishes at the minors of every matrix and, as a
+    differential operator, on every solution (the products of agkz-annihilation)."""
     failures = []
-    k = len(lattice_basis(ctx.n))
-    generators = [plucker_generator(ctx.n, alpha) for alpha in range(k)]
+    generators = plucker_generators(ctx.n)
+    nonzero = ctx.plucker_nonzero
     for alpha, generator in enumerate(generators):
         for values in ctx.minors:
             if evaluate_at_minors(generator, values) != 0:
                 failures.append(("minors", alpha))
-        for entry in ctx.basis.entries:
-            if not diff_apply(generator, entry.agkz_poly).is_zero():
+        for idx, entry in enumerate(ctx.basis.entries):
+            if (idx, alpha) in nonzero:
                 failures.append((entry.diagram.rows, alpha))
     return CheckResult(
         "plucker-annihilation",
         not failures,
-        f"{k} generators, {len(ctx.matrices)} matrices" + _failure_note(failures),
+        f"{len(generators)} generators, {len(ctx.matrices)} matrices" + _failure_note(failures),
     )
 
 

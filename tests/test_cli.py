@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtagkz import cli, combinatorics, lattice, polyengine
+from gtagkz import cli, combinatorics, gtbasis, lattice, polyengine, verify
 from gtagkz.cli import MAX_N, main
 from gtagkz.verify import default_checks
 
@@ -325,3 +325,48 @@ def test_the_parser_is_built_once_per_process(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["k"] == 1  # no --out carried over from the first call
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_basis_then_verify_builds_the_representation_once(capsys, monkeypatch):
+    weight = "2,1,1,0"
+    gtbasis.representation.cache_clear()
+    builds, tables = [], []
+    build_basis, table_init = gtbasis.build_basis, gtbasis.CoefficientTable.__init__
+
+    def counting_build(top_row):
+        builds.append(top_row)
+        return build_basis(top_row)
+
+    def counting_init(table, basis):
+        tables.append(basis.top_row)
+        table_init(table, basis)
+
+    monkeypatch.setattr(gtbasis, "build_basis", counting_build)
+    monkeypatch.setattr(gtbasis.CoefficientTable, "__init__", counting_init)
+    assert run(capsys, "basis", weight, "--format", "json")[0] == 0
+    code, shared, _ = run(capsys, "verify", weight)
+    assert code == 0
+    assert builds == tables == [(2, 1, 1, 0)]
+    gtbasis.representation.cache_clear()
+    verify._seeded_matrices.cache_clear()
+    assert run(capsys, "verify", weight) == (0, shared, "")
+    assert len(builds) == len(tables) == 2
+
+
+def test_shared_representation_and_matrices_are_read_only():
+    ctx = verify.VerifyContext((2, 1, 0, 0))
+    table = ctx.table
+    assert gtbasis.representation((2, 1, 0, 0))[1] is table
+    key = next(iter(table.C))
+    for mapping in (table.C, table.C_exact, table.S):
+        with pytest.raises(TypeError):
+            mapping[key] = 0
+    with pytest.raises(TypeError):
+        table.lowers[0] = ()
+    assert all(type(lowers) is tuple for lowers in table.lowers.values())
+    assert type(ctx.gt_polys) is tuple
+    assert type(ctx.matrices) is tuple
+    assert all(type(row) is tuple for matrix in ctx.matrices for row in matrix)
+    with pytest.raises(TypeError):
+        ctx.minors[0][(1,)] = 0
+    assert verify.seeded_matrices(4, 0, 20) == [[list(row) for row in m] for m in ctx.matrices]

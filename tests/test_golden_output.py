@@ -1,10 +1,11 @@
-"""Whole-document golden test: the bytes of `basis W --format json`.
+"""Whole-output golden tests: the bytes of `basis W --format json` and `verify W`.
 
 The digests are the sha256 of the full stdout of `gt-agkz basis W --format
 json`, recorded from commit b2dc021; the gl6 weight 2,1,1,0,0,0 was recorded
-from commit 844cd93, so that a digest also covers n >= 6.  A change that
-moves any byte of these documents fails here; re-record a digest only for an
-intended output change, and say so.
+from commit 844cd93, so that a digest also covers n >= 6.  The `verify W`
+digests (default checks, seed 0, 20 matrices) were recorded from commit
+f9f44a2.  A change that moves any byte of these outputs fails here;
+re-record a digest only for an intended output change, and say so.
 """
 
 import hashlib
@@ -26,9 +27,25 @@ GOLDEN = {
     "2,1,1,0,0,0": "a19b160b1a18ad92102e6a1e5614462fe2bf113804e6d965196aff5f78d0cc2d",
 }
 
+GOLDEN_VERIFY = {
+    "2,1,0": "5dd8ac98d1948b614d5332ee829b94ad1f9df8bb75bbaaaf2c5d79ba0cf1ced9",
+    "4,4,0": "280f03b5654709e4cb02d7c50e2b536d493b10d1928543d4a4b60e30ca2d8ba8",
+    "2,1,1,0": "ad6fac2df7b576e59bda6bd1b500d5d84d1394e306aa5b040c550a4a4cd7671c",
+    "2,2,2,0": "38c8f855b19adb48b1151f54d573f2d9da07e41af24247254e23aa572eddb0ee",
+    "3,2,1,0": "b6bd7450ea33e02134cfdc2af0ade84ee657d41504bcf75dc9f41dcead70f273",
+    "2,1,0,0,0": "dc565fe718383f2f772520949c853756f28563396c2da33d486777618fe191b1",
+}
+
 
 @pytest.mark.parametrize("weight", sorted(GOLDEN))
 def test_basis_document_is_byte_identical(weight, capsys):
     assert main(["basis", weight, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[weight]
+
+
+@pytest.mark.parametrize("weight", sorted(GOLDEN_VERIFY))
+def test_verify_output_is_byte_identical(weight, capsys):
+    assert main(["verify", weight]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[weight]

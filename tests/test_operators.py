@@ -15,9 +15,11 @@ from gtagkz.operators import (
     gkz_apply,
     membership_check,
     plucker_generator,
+    plucker_generators,
 )
 from gtagkz.polyengine import Polynomial, diff_apply, evaluate_minors, pair
 from gtagkz.series import agkz_solution, gamma_series
+from gtagkz import verify
 from gtagkz.verify import _random_combination, seeded_matrices
 import _linalg
 
@@ -188,6 +190,53 @@ def test_plucker_generators_annihilate_solutions():
         solution = agkz_solution(shift)
         for alpha in range(5):
             assert diff_apply(plucker_generator(4, alpha), solution).is_zero()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_plucker_generators_are_built_once_per_n(n):
+    generators = plucker_generators(n)
+    assert plucker_generators(n) is generators
+    assert len(generators) == len(lattice_basis(n))
+    for alpha, vec in enumerate(lattice_basis(n)):
+        assert plucker_generator(n, alpha) is generators[alpha]
+        assert generators[alpha] == (
+            Polynomial.monomial(vec.v_plus)
+            - Polynomial.monomial(vec.v_minus)
+            + Polynomial.monomial(vec.v_zero)
+        )
+
+
+def test_both_annihilation_checks_read_one_set_of_plucker_products(monkeypatch):
+    ctx = verify.VerifyContext((2, 1, 0, 0))
+    entries, k = ctx.basis.entries, len(lattice_basis(4))
+    calls = []
+
+    def counting(alpha, f):
+        calls.append(alpha)
+        return agkz_apply(alpha, f)
+
+    monkeypatch.setattr(verify, "agkz_apply", counting)
+    monkeypatch.setattr(verify, "diff_apply", None)  # neither check applies its own
+    assert verify.check_agkz_annihilation(ctx).passed
+    assert verify.check_plucker_annihilation(ctx).passed
+    assert len(calls) == len(entries) * k
+    assert ctx.plucker_nonzero == frozenset()
+
+
+def test_a_nonzero_plucker_product_fails_both_checks_alike(monkeypatch):
+    ctx = verify.VerifyContext((2, 1, 0, 0))
+    entries, k = ctx.basis.entries, len(lattice_basis(4))
+    broken = entries[1].agkz_poly
+
+    def applying(alpha, f):
+        return Polynomial.variable(4, (1,)) if (alpha, f) == (2, broken) else agkz_apply(alpha, f)
+
+    monkeypatch.setattr(verify, "agkz_apply", applying)
+    assert ctx.plucker_nonzero == frozenset({(1, 2)})
+    failure = f"({entries[1].diagram.rows}, 2)"
+    agkz, plucker = verify.check_agkz_annihilation(ctx), verify.check_plucker_annihilation(ctx)
+    assert not agkz.passed and agkz.detail == f"{len(entries)} solutions x {k} operators -- FAILED: {failure}"
+    assert not plucker.passed and plucker.detail == f"{k} generators, 20 matrices -- FAILED: {failure}"
 
 
 def test_membership_check():

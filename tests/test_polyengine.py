@@ -110,21 +110,31 @@ def test_pair_matches_a_fraction_loop_on_the_ladder(top):
 
 
 def test_verify_computes_the_minors_of_each_matrix_once(monkeypatch):
-    """The minor checks read VerifyContext.minors: one minor_values call per matrix."""
-    ctx = verify.VerifyContext((2, 1, 0, 0), matrix_count=6)
-    ctx.matrices  # the nonsingularity filter takes minors of its candidates too
-    ctx.basis
+    """The nonsingularity filter takes the minors of each candidate matrix once,
+    rejected ones included, and the minor checks read those: none of their own."""
+    n, seed, count = 4, 25, 6
+    verify._seeded_matrices.cache_clear()  # a fresh (n, seed, count) key
+    rng = random.Random(seed)
+    candidates, kept = [], 0
+    while kept < count:  # the filter's draws, with an independent determinant
+        candidates.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        kept += _linalg.det(candidates[-1]) != 0
+    assert len(candidates) > count  # the seed draws a singular candidate
     calls = []
 
-    def counting(matrix, n):
-        calls.append(n)
-        return minor_values(matrix, n)
+    def counting(matrix, size):
+        calls.append([list(row) for row in matrix])
+        return minor_values(matrix, size)
 
     monkeypatch.setattr(verify, "minor_values", counting)
     monkeypatch.setattr(polyengine, "minor_values", counting)
+    ctx = verify.VerifyContext((2, 1, 0, 0), seed=seed, matrix_count=count)
+    assert len(ctx.minors) == len(ctx.matrices) == count
+    assert calls == candidates
+    calls.clear()
     assert verify.check_plucker_annihilation(ctx).passed
     assert verify.check_canf_minor_identity(ctx).passed
-    assert len(calls) == ctx.matrix_count
+    assert calls == []
 
 
 def test_diff_apply_single_variable():
