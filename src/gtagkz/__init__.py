@@ -23,8 +23,8 @@ from .gtbasis import (
     coeff_C,
     coeff_C_alt,
     gram_matrix,
-    gt_basis,
     gt_function,
+    representation,
     weyl_dimension,
 )
 from .lattice import (

@@ -29,7 +29,6 @@ from .lattice import (
 from .polyengine import Polynomial, pair, rational_sum
 from .series import (
     _gamma_of,
-    _horn_value,
     agkz_solution,
     f_pair_terms,
     feasible_down_shifts,
@@ -147,7 +146,7 @@ def coeff_C_alt(delta, l) -> Fraction:
             _pochhammer_expansion(a_part, u_part).items() for a_part, u_part in zip(a, u)
         ]
         for choice in product(*expansions):
-            value = _horn_value(base, tuple(c for c, _ in choice), down=u)
+            value = j_value(base, tuple(c for c, _ in choice), down=u)
             if value:
                 total += Fraction(sign_l * prod(k for _, k in choice), norm) * value
     return total
@@ -229,10 +228,9 @@ class CoefficientTable:
         self.lowers = MappingProxyType(self.lowers)
 
 
-def gt_function(delta, basis: RepresentationBasis, table: CoefficientTable | None = None) -> Polynomial:
-    """The orthogonal basis function: sum of S coefficients times lower solutions."""
-    if table is None:
-        table = CoefficientTable(basis)
+def gt_function(delta, basis: RepresentationBasis, table: CoefficientTable) -> Polynomial:
+    """The orthogonal basis function: sum of S coefficients of the basis's
+    table times lower solutions."""
     vector = _gamma_of(delta)
     idx = next(
         (i for i, e in enumerate(basis.entries) if e.shift.gamma == vector), None
@@ -267,12 +265,6 @@ def representation(top_row: tuple):
     basis = build_basis(top_row)
     table = CoefficientTable(basis)
     return basis, table, tuple(gt_function(e.shift, basis, table) for e in basis.entries)
-
-
-def gt_basis(basis: RepresentationBasis):
-    """All orthogonal basis functions, aligned with basis.entries."""
-    table = CoefficientTable(basis)
-    return [gt_function(entry.shift, basis, table) for entry in basis.entries]
 
 
 def canonical_form(gamma) -> Polynomial:

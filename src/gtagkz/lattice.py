@@ -37,7 +37,7 @@ class ExponentVector:
     result without re-validating or re-sorting.
     """
 
-    __slots__ = ("n", "_entries", "_hash", "_chi")
+    __slots__ = ("n", "_entries", "_hash", "_chi", "_maps")
 
     def __init__(self, n, entries=()):
         positions = subset_position(n)
@@ -58,6 +58,7 @@ class ExponentVector:
         )
         object.__setattr__(self, "_hash", hash((n, self._entries)))
         object.__setattr__(self, "_chi", None)  # chi_table(self), once asked for
+        object.__setattr__(self, "_maps", None)  # (T, R) of _kept_maps(self), likewise
 
     @classmethod
     def _canonical(cls, n, entries):
@@ -67,6 +68,7 @@ class ExponentVector:
         object.__setattr__(vector, "_entries", entries)
         object.__setattr__(vector, "_hash", hash((n, entries)))
         object.__setattr__(vector, "_chi", None)
+        object.__setattr__(vector, "_maps", None)
         return vector
 
     def __setattr__(self, name, value):
@@ -199,27 +201,28 @@ def _chi_incidence(n: int):
     }
 
 
-def chi_table(v: ExponentVector):
-    """Values of every chi_p^q on v, in chi_pairs order; v keeps them after the first call."""
-    if v._chi is None:
-        incidence = _chi_incidence(v.n)
-        sums = [0] * len(chi_pairs(v.n))
-        for X, value in v.items():
-            for c in incidence[X]:
-                sums[c] += value
-        object.__setattr__(v, "_chi", tuple(sums))
-    return v._chi
-
-
-def in_lattice(v: ExponentVector) -> bool:
-    """True iff every counting functional vanishes on v; unlike chi_table, keeps
-    nothing on v (a tuple on every basis vector is about 2 MB for n = 12)."""
+def _chi_sums(v: ExponentVector):
+    """Values of every chi_p^q on v, in chi_pairs order, summed over v's entries."""
     incidence = _chi_incidence(v.n)
     sums = [0] * len(chi_pairs(v.n))
     for X, value in v.items():
         for c in incidence[X]:
             sums[c] += value
-    return not any(sums)
+    return sums
+
+
+def chi_table(v: ExponentVector):
+    """_chi_sums(v) as a tuple; v keeps it after the first call."""
+    if v._chi is None:
+        object.__setattr__(v, "_chi", tuple(_chi_sums(v)))
+    return v._chi
+
+
+def in_lattice(v: ExponentVector) -> bool:
+    """True iff every counting functional vanishes on v; unlike chi_table, keeps
+    nothing on v (a tuple on every basis vector is about 2 MB for n = 12), and
+    it needs no lattice coordinates, so it builds no column table."""
+    return not any(_chi_sums(v))
 
 
 @dataclass(frozen=True)
@@ -532,8 +535,9 @@ CLASS_POINTS_CACHE_SIZE = 4096
 @lru_cache(maxsize=CLASS_POINTS_CACHE_SIZE)
 def _class_table(n: int, target: tuple):
     """The nonnegative points x with chi_table(x) == target, as (triples, R):
-    the triples (x, T(x), x!) sorted by the dense x, and the residual R of
-    every point, asserted to be shared (None for a class without points).
+    the triples (x, T(x), x!) sorted by the dense x, and the residual R(x) of
+    every point, asserted to be shared (None for a class without points); T
+    and R come from _linear_maps.
 
     A depth-first search over the coordinates, largest subset first, with what
     remains of every chi constraint bounding each coordinate and forcing it
@@ -568,11 +572,11 @@ def _class_table(n: int, target: tuple):
     subsets = enumerate_subsets(n)
     triples, shared = [], None
     for point in sorted(points):
-        t = _lattice_coordinates(n, point)
-        own = _residual(n, point, t)
+        x = ExponentVector(n, zip(subsets, point))
+        t, own = _linear_maps(n, x.items())
         assert shared is None or own == shared
         shared = own
-        triples.append((ExponentVector(n, zip(subsets, point)), t, multi_factorial(point)))
+        triples.append((x, t, multi_factorial(point)))
     return tuple(triples), shared
 
 
@@ -596,10 +600,10 @@ def _coordinate_solver(n: int):
     """
     basis = lattice_basis(n)
     positions = subset_position(n)
-    directions = [dict(direction) for direction in _dense_directions(n)]
+    directions = [{positions[X]: value for X, value in vec.v.items()} for vec in basis]
     pivots = [positions[(*range(1, vec.i), vec.j, vec.x, *vec.X)] for vec in basis]
     owner = {pivot: b for b, pivot in enumerate(pivots)}
-    if len(owner) != len(basis) or any(d[pivot] != 1 for d, pivot in zip(directions, pivots)):
+    if len(owner) != len(basis) or any(d.get(pivot) != 1 for d, pivot in zip(directions, pivots)):
         raise ArithmeticError(f"lattice basis for n = {n} has no distinct unit pivots")
     needs = {b: [] for b in range(len(basis))}
     for c, direction in enumerate(directions):
@@ -615,90 +619,74 @@ def _coordinate_solver(n: int):
     return tuple((b, pivots[b], tuple(needs[b])) for b in order)
 
 
-def _lattice_coordinates(n: int, vector):
-    """T(vector): the lattice coordinates of a dense integer vector, linear in
-    it; sum t_b v_b == vector for a lattice vector."""
-    t = [0] * len(lattice_basis(n))
-    for b, pivot, needs in _coordinate_solver(n):
-        t[b] = vector[pivot] - sum(t[c] * value for c, value in needs)
-    return tuple(t)
+def _nonzero(values):
+    """The (index, value) pairs of the nonzero values."""
+    return tuple((index, value) for index, value in enumerate(values) if value)
 
 
 @lru_cache(maxsize=None)
-def _dense_directions(n: int):
-    """The lattice basis vectors v in dense coordinates, each as its nonzero
-    (position, value) pairs."""
-    return tuple(
-        tuple((position, value) for position, value in enumerate(vec.v.dense()) if value)
-        for vec in lattice_basis(n)
-    )
+def _column_table(n: int):
+    """Map subset X -> the nonzero (b, T_b) and (position, R) of the unit vector
+    e_X: its lattice coordinates T(e_X) by back-substitution, and its residual
+    R(e_X) = e_X - T(e_X).v, zero at every pivot.
 
-
-def _residual(n: int, vector, t):
-    """R = vector - sum t_b v_b for a dense vector and its coordinates t; two
-    vectors differ by a lattice vector exactly when their residuals agree,
-    and then by the difference of their coordinates."""
-    residual = list(vector)
-    for coefficient, direction in zip(t, _dense_directions(n)):
-        if coefficient:
-            for position, value in direction:
-                residual[position] -= coefficient * value
-    return tuple(residual)
-
-
-@lru_cache(maxsize=None)
-def _unit_coordinates(n: int):
-    """Map subset X -> the nonzero (b, T_b) of the unit vector at X; T is linear,
-    so these summed over a vector's entries are its coordinates."""
-    size = len(enumerate_subsets(n))
+    Two vectors differ by a lattice vector exactly when their residuals agree,
+    and then by the difference of their coordinates.
+    """
+    directions = [vec.v for vec in lattice_basis(n)]
+    steps = _coordinate_solver(n)
+    positions = subset_position(n)
     columns = {}
-    for X, position in subset_position(n).items():
-        unit = [0] * size
-        unit[position] = 1
-        columns[X] = tuple((b, value) for b, value in enumerate(_lattice_coordinates(n, unit)) if value)
+    for X, position in positions.items():
+        t = [0] * len(directions)
+        for b, pivot, needs in steps:
+            t[b] = (pivot == position) - sum(t[c] * value for c, value in needs)
+        residual = ExponentVector.unit(n, X) - combine(directions, t, n)
+        columns[X] = (_nonzero(t), tuple((positions[Y], value) for Y, value in residual.items()))
     return columns
 
 
-def _coordinates(vector: ExponentVector):
-    """T(vector) as a list, summed over the vector's entries from _unit_coordinates."""
-    columns = _unit_coordinates(vector.n)
-    t = [0] * len(lattice_basis(vector.n))
-    for X, value in vector.items():
-        for b, entry in columns[X]:
-            t[b] += value * entry
-    return t
+def _linear_maps(n: int, entries):
+    """(T(y), R(y)) as tuples for the vector y of the (X, value) entries: T and
+    R are linear, so they are the columns of _column_table summed over them."""
+    sums = ([0] * len(lattice_basis(n)), [0] * len(subset_position(n)))
+    columns = _column_table(n)
+    for X, value in entries:
+        for values, column in zip(sums, columns[X]):
+            for index, entry in column:
+                values[index] += value * entry
+    return tuple(sums[0]), tuple(sums[1])
+
+
+def _kept_maps(v: ExponentVector):
+    """_linear_maps of v's entries; v keeps them after the first call."""
+    if v._maps is None:
+        object.__setattr__(v, "_maps", _linear_maps(v.n, v.items()))
+    return v._maps
 
 
 @lru_cache(maxsize=None)
 def _r_directions(n: int):
     """Per r direction r_a, its nonzero (c, chi_c(r_a)), (b, T_b(r_a)) and
-    (position, R(r_a)[position]), with the residual R(r_a) = r_a - T(r_a).v
-    computed from that same T(r_a); chi, T and R are linear, so these give
-    them at gamma - s.r from gamma's without building the vector."""
-    directions = []
-    for vec in lattice_basis(n):
-        t = _coordinates(vec.r)
-        residual = _residual(n, vec.r.dense(), t)
-        directions.append(tuple(
-            tuple((index, value) for index, value in enumerate(values) if value)
-            for values in (chi_table(vec.r), t, residual)
-        ))
-    return tuple(directions)
+    (position, R(r_a)[position]); chi, T and R are linear, so these give them
+    at gamma - s.r from gamma's without building the vector."""
+    return tuple(
+        tuple(_nonzero(values) for values in (chi_table(vec.r), *_linear_maps(n, vec.r.items())))
+        for vec in lattice_basis(n)
+    )
 
 
 def _class_entry(gamma: ExponentVector, down=None):
     """The triples of the class of gamma - down.r in _class_table and that
     representative's own T, for a multi-index down (gamma itself when None).
 
-    T(gamma) is summed over gamma's entries from _unit_coordinates, and the
-    representative's chi, T and residual R = y - T(y).v are gamma's minus the
-    down-weighted r-direction columns; the residual must be the class's, so
-    every point x of the class is the representative plus (T(x) - T).v
+    The representative's chi, T and residual R are gamma's kept values minus
+    the down-weighted r-direction columns; the residual must be the class's,
+    so every point x of the class is the representative plus (T(x) - T).v
     exactly.
     """
     n = gamma.n
-    t = _coordinates(gamma)
-    target, residual = list(chi_table(gamma)), list(_residual(n, gamma.dense(), t))
+    target, t, residual = (list(values) for values in (chi_table(gamma), *_kept_maps(gamma)))
     for amount, parts in zip(down or (), _r_directions(n)):
         if amount:
             for values, column in zip((target, t, residual), parts):
@@ -713,7 +701,7 @@ def coset_points(gamma: ExponentVector):
     """Pairs (x, t) over nonneg_points(gamma) with x = gamma + t.v exactly.
 
     A new list on each call: t = T(x) - T(gamma), with T(x) read from the
-    class table and T(gamma) summed per call (see _class_entry).
+    class table and T(gamma) kept on gamma (see _class_entry).
     """
     triples, origin = _class_entry(gamma)
     return [(x, tuple(a - b for a, b in zip(tx, origin))) for x, tx, _ in triples]

@@ -12,15 +12,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .combinatorics import enumerate_subsets
 from .lattice import ExponentVector, multi_factorial
 
 
 class Polynomial:
-    """Sparse exact-rational polynomial over the subset-indexed variables."""
+    """Sparse exact-rational polynomial over the subset-indexed variables.
 
-    __slots__ = ("n", "terms")
+    `terms` is a read-only view of the exponent -> coefficient dict, so a
+    polynomial shared through a memo cannot be changed by any caller; the hot
+    loops of this module read the dict itself.
+    """
+
+    __slots__ = ("n", "terms", "_terms")
 
     def __init__(self, n, terms=()):
         merged = {}
@@ -40,7 +46,8 @@ class Polynomial:
                 else:
                     del merged[exponent]
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", merged)
+        object.__setattr__(self, "terms", MappingProxyType(merged))
+        object.__setattr__(self, "_terms", merged)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -91,7 +98,7 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.n == other.n
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):
@@ -131,8 +138,8 @@ def diff_apply(f: Polynomial, g: Polynomial) -> Polynomial:
     """Apply f with every variable replaced by the matching partial derivative to g."""
     f._check(g)
     result = []
-    for u, cf in f.terms.items():
-        for w, cg in g.terms.items():
+    for u, cf in f._terms.items():
+        for w, cg in g._terms.items():
             scale = 1
             for X, power in u.items():
                 have = w[X]
@@ -170,10 +177,10 @@ def rational_sum(pairs) -> Fraction:
 def pair(f: Polynomial, g: Polynomial) -> Fraction:
     """Apolarity pairing: diff_apply(f, g) at A = 0, i.e. sum c_f(u) c_g(u) u!."""
     f._check(g)
-    small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
+    small, large = sorted((f._terms, g._terms), key=len)
     terms = []
-    for exponent, coefficient in small.terms.items():
-        other = large.terms.get(exponent)
+    for exponent, coefficient in small.items():
+        other = large.get(exponent)
         if other is not None:
             terms.append((
                 coefficient.numerator * other.numerator * exponent_factorial(exponent),
@@ -232,7 +239,7 @@ def evaluate_at_minors(f: Polynomial, values) -> Fraction:
     Fraction, and both carry numerator and denominator.
     """
     terms = []
-    for exponent, coefficient in f.terms.items():
+    for exponent, coefficient in f._terms.items():
         monomial = 1
         for X, power in exponent.items():
             monomial *= values[X] ** power

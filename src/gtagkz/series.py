@@ -90,17 +90,14 @@ def j_series(gamma: ExponentVector, s) -> Polynomial:
     return Polynomial(vector.n, terms)
 
 
-def j_value(gamma, s) -> Fraction:
-    """The value of j_series(gamma, s) at A = 1, a hypergeometric constant.
+def j_value(gamma, s, down=None) -> Fraction:
+    """The value at A = 1 of j_series at the representative gamma - down.r
+    (gamma itself when down is None), a hypergeometric constant.
 
-    Sums the integer terms over one common denominator; builds no polynomial.
+    Sums the integer terms over one common denominator; builds neither a
+    polynomial nor the representative (see lattice._class_entry).
     """
-    return _horn_value(_gamma_of(gamma), s)
-
-
-def _horn_value(vector: ExponentVector, s, down=None) -> Fraction:
-    """j_value at the representative vector - down.r, without building it."""
-    terms = _horn_terms(vector, s, down=down)
+    terms = _horn_terms(_gamma_of(gamma), s, down=down)
     return rational_sum((weight, x_factorial) for _, weight, x_factorial in terms)
 
 

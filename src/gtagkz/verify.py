@@ -36,9 +36,9 @@ from .polyengine import (
     pair,
 )
 from .series import (
-    _horn_value,
     agkz_solution,
     feasible_down_shifts,
+    j_value,
     multi_factorial,
     rising,
 )
@@ -247,9 +247,7 @@ def check_triangularity(ctx: VerifyContext) -> CheckResult:
             expected = Fraction(0)
             for u in routes:
                 sign = -1 if sum(u) % 2 else 1
-                expected += Fraction(sign, multi_factorial(u)) * _horn_value(
-                    eb.shift.gamma, u, down=u
-                )
+                expected += Fraction(sign, multi_factorial(u)) * j_value(eb.shift.gamma, u, down=u)
             if value != expected:
                 failures.append((a, b, f"{value} != {expected}"))
     return CheckResult(

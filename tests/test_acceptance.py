@@ -17,7 +17,7 @@ from gtagkz.gtbasis import (
     coeff_C,
     coeff_C_alt,
     gram_matrix,
-    gt_basis,
+    representation,
 )
 from gtagkz.lattice import coset_leq, lattice_basis, r_shift
 from gtagkz.operators import agkz_apply, e_action, plucker_generator
@@ -168,7 +168,7 @@ def test_criterion_07_orthogonality():
     start = time.perf_counter()
     total = 0
     for top in ((2, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0)):
-        polys = gt_basis(build_basis(top))
+        _, _, polys = representation(top)
         for a in range(len(polys)):
             for b in range(a + 1, len(polys)):
                 assert pair(polys[a], polys[b]) == 0
@@ -238,8 +238,7 @@ def test_criterion_10_operator_identities():
 
 
 def test_criterion_11_gl3_coincidence():
-    basis = build_basis((2, 1, 0))
-    polys = gt_basis(basis)
+    basis, _, polys = representation((2, 1, 0))
     matrices = seeded_matrices(3, SEED, 20)
     for idx, entry in enumerate(basis.entries):
         scalar = pair(polys[idx], entry.agkz_poly) / pair(

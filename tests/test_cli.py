@@ -1,5 +1,6 @@
 """Command line interface: subcommands, formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -351,6 +352,22 @@ def test_basis_then_verify_builds_the_representation_once(capsys, monkeypatch):
     verify._seeded_matrices.cache_clear()
     assert run(capsys, "verify", weight) == (0, shared, "")
     assert len(builds) == len(tables) == 2
+
+
+def test_shared_polynomials_are_read_only(capsys):
+    """No caller can change the G functions or solutions that the representation
+    memo hands to every later caller: basis and verify still read the originals."""
+    basis, _, polys = gtbasis.representation((2, 1, 0))
+    for poly in (polys[0], basis.entries[0].agkz_poly, basis.entries[0].gamma_poly):
+        with pytest.raises(AttributeError):
+            poly.terms.clear()
+        with pytest.raises(TypeError):
+            poly.terms[next(iter(poly.terms))] = 0
+    code, out, _ = run(capsys, "basis", "2,1,0", "--format", "json")
+    assert code == 0
+    digest = "026c8d2aad8bc5089d6a645ceebdff5aa1a5e54c17ed3bf8c2a43f3b621bded0"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert run(capsys, "verify", "2,1,0")[0] == 0
 
 
 def test_shared_representation_and_matrices_are_read_only():

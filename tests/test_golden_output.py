@@ -2,7 +2,8 @@
 
 The digests are the sha256 of the full stdout of `gt-agkz basis W --format
 json`, recorded from commit b2dc021; the gl6 weight 2,1,1,0,0,0 was recorded
-from commit 844cd93, so that a digest also covers n >= 6.  The `verify W`
+from commit 844cd93, so that a digest also covers n >= 6, and the gl7 weight
+2,1,0,0,0,0,0 (k = 99, with parallel directions) from commit 09b7fab.  The `verify W`
 digests (default checks, seed 0, 20 matrices) were recorded from commit
 f9f44a2.  A change that moves any byte of these outputs fails here;
 re-record a digest only for an intended output change, and say so.
@@ -25,6 +26,7 @@ GOLDEN = {
     "3,2,1,0": "273206aeecd40b4f0453892cc307d105efb0ff7b2ceba78bf499dbaa5b3f4ca0",
     "2,1,0,0,0": "2801d4951088622798eb5482eaa506e954daf7494a086e21ee5b13cd85ec90ca",
     "2,1,1,0,0,0": "a19b160b1a18ad92102e6a1e5614462fe2bf113804e6d965196aff5f78d0cc2d",
+    "2,1,0,0,0,0,0": "7825e3c95c02e406dfe07ab242248cb1b8003d709f16702d21ed810fe9e6bc86",
 }
 
 GOLDEN_VERIFY = {

@@ -14,8 +14,8 @@ from gtagkz.gtbasis import (
     coeff_C,
     coeff_C_alt,
     gram_matrix,
-    gt_basis,
     gt_function,
+    representation,
     weyl_dimension,
 )
 from gtagkz.lattice import lattice_basis, r_shift
@@ -203,7 +203,7 @@ def test_gt_function_highest_is_normalized_highest_vector():
     basis = build_basis((2, 1, 0))
     top = highest_diagram((2, 1, 0))
     shift = basis.entries[basis.index_of(top)].shift
-    g = gt_function(shift, basis)
+    g = gt_function(shift, basis, CoefficientTable(basis))
     assert proportional(g, gamma_series(shift))
 
 
@@ -212,7 +212,7 @@ LONG_CHAINS = [(4, 2, 0), (3, 1, 0, 0), (2, 1, 1, 0)]
 
 @pytest.mark.parametrize("top", [(2, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0)] + LONG_CHAINS)
 def test_gt_basis_orthogonal(top):
-    polys = gt_basis(build_basis(top))
+    _, _, polys = representation(top)
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
             assert pair(polys[a], polys[b]) == 0
@@ -220,9 +220,8 @@ def test_gt_basis_orthogonal(top):
 
 def test_gl6_basis_has_the_weyl_dimension_and_is_orthogonal():
     top = (1, 1, 1, 0, 0, 0)
-    basis = build_basis(top)
+    basis, _, polys = representation(top)
     assert len(basis) == weyl_dimension(top) == 20
-    polys = gt_basis(basis)
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
             assert pair(polys[a], polys[b]) == 0
@@ -230,8 +229,7 @@ def test_gl6_basis_has_the_weyl_dimension_and_is_orthogonal():
 
 @pytest.mark.parametrize("top", [(2, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0)] + LONG_CHAINS)
 def test_lagrange_matches_gt_functions(top):
-    basis = build_basis(top)
-    polys = gt_basis(basis)
+    basis, _, polys = representation(top)
     generic = lagrange_orthogonalize(basis)
     for a in range(len(generic)):
         for b in range(a + 1, len(generic)):
@@ -285,8 +283,7 @@ def test_canonical_form_pairing_consistency():
 
 
 def test_gl3_gt_functions_coincide_with_lattice_series_mod_relations():
-    basis = build_basis((2, 1, 0))
-    polys = gt_basis(basis)
+    basis, _, polys = representation((2, 1, 0))
     matrices = seeded_matrices(3, 0, 10)
     for idx, entry in enumerate(basis.entries):
         scalar = pair(polys[idx], entry.agkz_poly) / pair(entry.gamma_poly, entry.agkz_poly)

@@ -1,7 +1,6 @@
 """Lattice basis, shift vectors, the coset order, and point enumeration."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +14,7 @@ from gtagkz.combinatorics import (
     enumerate_diagrams,
     enumerate_subsets,
     highest_diagram,
+    subset_position,
 )
 from gtagkz.lattice import (
     ExponentVector,
@@ -84,6 +84,25 @@ def test_basis_vectors_annihilated_by_all_functionals(n):
 def test_in_lattice_examples():
     assert in_lattice(ExponentVector.zero(3))
     assert not in_lattice(ExponentVector.unit(3, (1,)))
+
+
+def test_in_lattice_builds_no_column_table_and_keeps_nothing(monkeypatch, capsys):
+    """in_lattice reads chi only: for n = 12 a column table would take 4,095
+    back-substitutions of 4,017 steps, and kept chi values about 2 MB."""
+    from gtagkz.cli import main
+
+    def refuse(n):
+        raise AssertionError(f"lattice coordinates built for n = {n}")
+
+    monkeypatch.setattr(lattice, "_column_table", refuse)
+    monkeypatch.setattr(lattice, "_coordinate_solver", refuse)
+    for n in (3, 7):
+        for vec in lattice_basis(n):
+            fresh = ExponentVector(n, vec.v.items())
+            assert in_lattice(fresh)
+            assert fresh._chi is None and fresh._maps is None
+    assert main(["lattice", "8", "--format", "json"]) == 0
+    assert '"chi_orthogonal": true' in capsys.readouterr().out
 
 
 def test_shift_matches_classical_gl3_formula():
@@ -244,6 +263,20 @@ def test_nonneg_points_representative_independent():
     assert nonneg_points(gamma) == nonneg_points(gamma - 2 * v)
 
 
+def negated_column_table(n, X):
+    """The column table as a solver that negates T(e_X) would build it: that T
+    column negated, with R(e_X) = e_X - T(e_X).v recomputed densely from it."""
+    table = dict(lattice._column_table(n))
+    t_column = tuple((b, -value) for b, value in table[X][0])
+    assert t_column
+    residual = list(ExponentVector.unit(n, X).dense())
+    for b, value in t_column:
+        for position, entry in enumerate(lattice_basis(n)[b].v.dense()):
+            residual[position] -= value * entry
+    table[X] = (t_column, tuple((p, value) for p, value in enumerate(residual) if value))
+    return table
+
+
 def test_coset_points_recover_integral_coordinates():
     d = GTDiagram(((2, 1, 0, 0), (2, 1, 0), (2, 0), (1,)))
     gamma = shift_from_diagram(d).gamma
@@ -260,31 +293,36 @@ def test_coset_points_check_fires_on_a_wrong_solver(monkeypatch):
     points; the memoized class table is cleared so that the entry is built again."""
     gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma
     assert any(any(t) for _, t in coset_points(gamma))
-    solve = lattice._lattice_coordinates
-    monkeypatch.setattr(
-        lattice, "_lattice_coordinates", lambda n, difference: tuple(-t for t in solve(n, difference))
-    )
+    wrong = negated_column_table(3, (2, 3))
+    monkeypatch.setattr(lattice, "_column_table", lambda n: wrong)
     lattice._class_table.cache_clear()
     try:
         with pytest.raises(AssertionError):
-            coset_points(gamma)
+            coset_points(ExponentVector(3, gamma.items()))
     finally:
         lattice._class_table.cache_clear()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_lattice_coordinates_round_trip(n):
-    """t -> gamma + sum t_b v_b -> t by integer back-substitution, for random integer t."""
-    rng = random.Random(n)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_lattice_coordinates_round_trip(n, data):
+    """y == R(y) + T(y).v with R(y) zero at every pivot, for random integer y;
+    y + c.v then has the residual of y at coordinates T(y) + c."""
     basis = lattice_basis(n)
-    gamma = shift_from_diagram(highest_diagram((3, 1) + (0,) * (n - 2))).gamma
-    for _ in range(25):
-        t = tuple(rng.randint(-5, 5) for _ in basis)
-        x = gamma
-        for coeff, vec in zip(t, basis):
-            x = x + coeff * vec.v
-        difference = [a - b for a, b in zip(x.dense(), gamma.dense())]
-        assert lattice._lattice_coordinates(n, difference) == t
+    entries = st.tuples(st.sampled_from(enumerate_subsets(n)), st.integers(-5, 5))
+    y = ExponentVector(n, data.draw(st.lists(entries, max_size=8)))
+    t, residual = lattice._linear_maps(n, y.items())
+    rebuilt = list(residual)
+    for coefficient, vec in zip(t, basis):
+        for position, value in enumerate(vec.v.dense()):
+            rebuilt[position] += coefficient * value
+    assert tuple(rebuilt) == y.dense()
+    positions = subset_position(n)
+    assert all(residual[positions[(*range(1, vec.i), vec.j, vec.x, *vec.X)]] == 0 for vec in basis)
+    c = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis)))
+    moved = y + combine([vec.v for vec in basis], c, n)
+    assert lattice._linear_maps(n, moved.items()) == (tuple(a + b for a, b in zip(t, c)), residual)
 
 
 def test_coset_table_is_immutable_and_coset_points_is_a_fresh_list():
@@ -296,11 +334,31 @@ def test_coset_table_is_immutable_and_coset_points_is_a_fresh_list():
     assert all(x_factorial == exponent_factorial(x) for x, _, x_factorial in table)
     first = coset_points(gamma)
     second = coset_points(gamma)
-    origin = lattice._lattice_coordinates(gamma.n, gamma.dense())
+    origin, _ = lattice._linear_maps(gamma.n, gamma.items())
     assert first == second == [(x, tuple(a - b for a, b in zip(tx, origin))) for x, tx, _ in table]
     assert first is not second
     first.clear()
     assert coset_points(gamma) == second
+
+
+def test_a_vector_keeps_its_lattice_coordinates_and_residual(monkeypatch):
+    """The first series read of gamma sums its (T, R) once; later reads, down
+    shifts included, subtract r columns from the kept values and sum nothing."""
+    shift = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (1,))))
+    gamma = ExponentVector(3, shift.gamma.items())
+    shifts = feasible_down_shifts(shift.gamma)
+    assert gamma._maps is None and any(any(s) for s in shifts)
+    expected = [lattice._class_entry(shift.gamma, s) for s in shifts]
+    lattice._r_directions(3)
+    first = coset_points(gamma)
+    assert gamma._maps == lattice._linear_maps(3, gamma.items())
+
+    def refuse(n, entries):
+        raise AssertionError("T and R summed again")
+
+    monkeypatch.setattr(lattice, "_linear_maps", refuse)
+    assert coset_points(gamma) == first
+    assert [lattice._class_entry(gamma, s) for s in shifts] == expected
 
 
 # dominant weights ending in 0, n = 3..5, of Weyl dimension at most 20
@@ -340,10 +398,8 @@ def test_class_table_check_fires_on_a_wrong_solver(monkeypatch):
     refused when the entry is built, before any representative is read."""
     gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma
     assert len(nonneg_points(gamma)) > 1
-    solve = lattice._lattice_coordinates
-    monkeypatch.setattr(
-        lattice, "_lattice_coordinates", lambda n, vector: tuple(-t for t in solve(n, vector))
-    )
+    wrong = negated_column_table(3, (2, 3))
+    monkeypatch.setattr(lattice, "_column_table", lambda n: wrong)
     lattice._class_table.cache_clear()
     try:
         with pytest.raises(AssertionError):
@@ -356,18 +412,12 @@ def test_coset_points_check_fires_on_a_corrupted_offset(monkeypatch):
     """A sound class entry with a wrong T(gamma): the representative's residual
     no longer matches the class's, so the per-call check fires."""
     gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (2,)))).gamma + lattice_basis(3)[0].v
-    assert any(lattice._lattice_coordinates(3, gamma.dense()))
-    assert coset_points(gamma)  # the class entry, built with the true solver
-    solve = lattice._lattice_coordinates
-    monkeypatch.setattr(
-        lattice, "_lattice_coordinates", lambda n, vector: tuple(-t for t in solve(n, vector))
-    )
-    lattice._unit_coordinates.cache_clear()
-    try:
-        with pytest.raises(AssertionError):
-            coset_points(gamma)
-    finally:
-        lattice._unit_coordinates.cache_clear()
+    assert gamma[(2, 3)] and any(lattice._linear_maps(3, gamma.items())[0])
+    assert coset_points(gamma)  # the class entry, built with the true table
+    wrong = negated_column_table(3, (2, 3))
+    monkeypatch.setattr(lattice, "_column_table", lambda n: wrong)
+    with pytest.raises(AssertionError):
+        coset_points(ExponentVector(3, gamma.items()))  # a vector that keeps no maps yet
 
 
 @settings(deadline=None, max_examples=100)
@@ -425,18 +475,18 @@ def test_class_entry_of_a_down_shift_equals_that_of_the_built_representative(top
 
 
 def test_class_entry_check_fires_on_a_corrupted_r_direction_column(monkeypatch):
-    """T(r) built from a wrong unit column, with R(r) computed from that same
-    T: the residual of gamma - s.r misses the class's, so the check fires."""
+    """T(r) read from a negated column, with R(r) computed from that same T:
+    the residual of gamma - s.r misses the class's, so the check fires."""
     gamma = shift_from_diagram(GTDiagram(((4, 2, 0), (3, 1), (1,)))).gamma
     s = max(feasible_down_shifts(gamma))
-    assert any(s) and lattice._class_entry(gamma, s)[0]
-    columns = lattice._unit_coordinates(3)
-    X = next(X for X, _ in lattice_basis(3)[0].r.items() if columns[X])
-    wrong = {**columns, X: tuple((b, 2 * value) for b, value in columns[X])}
+    assert any(s) and lattice._class_entry(gamma, s)[0]  # gamma keeps its true maps
+    columns = lattice._column_table(3)
+    X = next(X for X, _ in lattice_basis(3)[0].r.items() if columns[X][0])
+    wrong = negated_column_table(3, X)
     lattice._r_directions.cache_clear()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(lattice, "_unit_coordinates", lambda n: wrong)
+            patch.setattr(lattice, "_column_table", lambda n: wrong)
             lattice._r_directions(3)
         with pytest.raises(AssertionError):
             lattice._class_entry(gamma, s)

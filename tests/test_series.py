@@ -259,7 +259,9 @@ def test_j_value_is_the_j_series_at_ones(top):
     cases = []
     for shift in canonical_shifts(enumerate_diagrams(top)):
         gamma = shift.gamma
-        cases += [(gamma - r_shift(n, s), s) for s in feasible_down_shifts(gamma)]
+        for s in feasible_down_shifts(gamma):
+            cases.append((gamma - r_shift(n, s), s))
+            assert j_value(shift, s, down=s) == j_value(*cases[-1])
         cases += [(gamma + lattice_sum, s) for s in feasible_up_shifts(gamma)]
         cases += [(gamma, tuple(rng.randint(0, 2) for _ in range(k))) for _ in range(2)]
     nonzero = 0
