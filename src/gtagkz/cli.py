@@ -118,8 +118,11 @@ def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as error:
+            raise UsageError(f"cannot write {out_path}: {error.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -226,21 +229,20 @@ def _basis_document(top_row):
 
 
 def cmd_basis(args) -> int:
-    weight = _parse_weight(args.top_row)
-    _check_n(len(weight))
-    document = _basis_document(weight)
+    top_row = _parse_weight(args.top_row)
+    _check_n(len(top_row))
     if args.format == "json":
-        _emit(_to_json(document), args.out)
-    else:
-        lines = [
-            f"representation {document['top_row']}: dimension {document['dimension']}"
-        ]
-        for item in document["entries"]:
-            lines.append(
-                f"  diagram {item['diagram']} weight {item['weight']} "
-                f"|G|^2 = {item['norm_squared']}"
-            )
-        _emit("\n".join(lines), args.out)
+        _emit(_to_json(_basis_document(top_row)), args.out)
+        return 0
+    weight, _ = normalize_weight(top_row)
+    basis, _, gt_polys = representation(weight)
+    lines = [f"representation {list(weight)}: dimension {len(basis.entries)}"]
+    for entry, g in zip(basis.entries, gt_polys):
+        lines.append(
+            f"  diagram {[list(row) for row in entry.diagram.rows]} "
+            f"weight {list(entry.diagram.weight())} |G|^2 = {pair(g, g)}"
+        )
+    _emit("\n".join(lines), args.out)
     return 0
 
 

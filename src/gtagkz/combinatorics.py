@@ -8,7 +8,6 @@ then lexicographically.  A subset X indexes the minor built from rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -59,8 +58,51 @@ def chi_apply(p: int, q: int, v) -> int:
     return sum(value for X, value in v.items() if chi(p, q, X))
 
 
-@dataclass(frozen=True)
-class GTDiagram:
+class ValueRecord:
+    """Immutable value record whose fields are its class's __slots__, in order.
+
+    Records of the same class are equal, and hash alike, when their tuples of
+    fields are; against anything else, a tuple of the same values included,
+    comparison returns NotImplemented.  The repr is Name(field=value, ...).
+    Each class's __init__ sets its fields once through _fill; assigning or
+    deleting a field afterwards raises AttributeError.  Written out by hand:
+    the standard library's generator of such classes imports inspect, ast and
+    dis, 9-14 ms of every cold start of the command line.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        """Set the fields, in __slots__ order; called once, from __init__."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GTDiagram(ValueRecord):
     """Triangular array of integers satisfying the betweenness condition.
 
     rows[0] is the top row of length n, rows[-1] the single bottom entry.
@@ -68,11 +110,10 @@ class GTDiagram:
     the classical labelling).
     """
 
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         n = len(rows)
         if n < 1 or [len(row) for row in rows] != list(range(n, 0, -1)):
             raise ValueError("rows must have lengths n, n-1, ..., 1")
@@ -82,6 +123,7 @@ class GTDiagram:
                     raise ValueError(
                         f"betweenness fails: {upper[i]} >= {value} >= {upper[i + 1]}"
                     )
+        self._fill(rows)
 
     @property
     def n(self) -> int:

@@ -10,14 +10,13 @@ closed-form coefficients, values at A = 1 of the paired hypergeometric series
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
 from types import MappingProxyType
 
-from .combinatorics import GTDiagram, enumerate_diagrams
+from .combinatorics import GTDiagram, ValueRecord, enumerate_diagrams
 from .lattice import (
     ShiftVector,
     canonical_shift_table,
@@ -47,20 +46,25 @@ class AmbiguousSupportError(ValueError):
     """A class on the monomial ray has more than one nonnegative point."""
 
 
-@dataclass(frozen=True)
-class BasisEntry:
-    diagram: GTDiagram
-    shift: ShiftVector
-    gamma_poly: Polynomial
-    agkz_poly: Polynomial
-    witness: tuple  # r-combination from the component minimum
+class BasisEntry(ValueRecord):
+    __slots__ = ("diagram", "shift", "gamma_poly", "agkz_poly", "witness")
+
+    def __init__(
+        self,
+        diagram: GTDiagram,
+        shift: ShiftVector,
+        gamma_poly: Polynomial,
+        agkz_poly: Polynomial,
+        witness: tuple,  # r-combination from the component minimum
+    ):
+        self._fill(diagram, shift, gamma_poly, agkz_poly, witness)
 
 
-@dataclass(frozen=True)
-class RepresentationBasis:
-    top_row: tuple
-    n: int
-    entries: tuple
+class RepresentationBasis(ValueRecord):
+    __slots__ = ("top_row", "n", "entries")
+
+    def __init__(self, top_row: tuple, n: int, entries: tuple):
+        self._fill(top_row, n, entries)
 
     def __len__(self):
         return len(self.entries)

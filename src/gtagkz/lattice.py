@@ -8,7 +8,6 @@ lattice {x : chi_p^q(x) = m_{p,q}}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
@@ -16,6 +15,7 @@ from math import factorial
 
 from .combinatorics import (
     GTDiagram,
+    ValueRecord,
     chi_pairs,
     enumerate_subsets,
     subset_position,
@@ -225,8 +225,7 @@ def in_lattice(v: ExponentVector) -> bool:
     return not any(_chi_sums(v))
 
 
-@dataclass(frozen=True)
-class LatticeBasisVector:
+class LatticeBasisVector(ValueRecord):
     """Basis vector determined by i < j < x < X, with its split parts.
 
     v = v_plus - v_minus is the lattice vector; v_zero completes the three
@@ -234,15 +233,21 @@ class LatticeBasisVector:
     v_plus generates the order on shifted lattices.
     """
 
-    i: int
-    j: int
-    x: int
-    X: tuple
-    v: ExponentVector
-    v_plus: ExponentVector
-    v_minus: ExponentVector
-    v_zero: ExponentVector
-    r: ExponentVector
+    __slots__ = ("i", "j", "x", "X", "v", "v_plus", "v_minus", "v_zero", "r")
+
+    def __init__(
+        self,
+        i: int,
+        j: int,
+        x: int,
+        X: tuple,
+        v: ExponentVector,
+        v_plus: ExponentVector,
+        v_minus: ExponentVector,
+        v_zero: ExponentVector,
+        r: ExponentVector,
+    ):
+        self._fill(i, j, x, X, v, v_plus, v_minus, v_zero, r)
 
 
 def _basis_vector(n, i, j, x, X):
@@ -300,18 +305,16 @@ def r_shift(n, s) -> ExponentVector:
     return combine([b.r for b in lattice_basis(n)], s, n)
 
 
-@dataclass(frozen=True)
-class ShiftVector:
+class ShiftVector(ValueRecord):
     """An integer solution of chi_p^q(gamma) = m_{p,q} for a diagram."""
 
-    gamma: ExponentVector
-    diagram: GTDiagram
+    __slots__ = ("gamma", "diagram")
 
-    def __post_init__(self):
-        d = self.diagram
-        for (p, q), value in zip(chi_pairs(d.n), chi_table(self.gamma)):
-            if value != d.m(p, q):
+    def __init__(self, gamma: ExponentVector, diagram: GTDiagram):
+        for (p, q), value in zip(chi_pairs(diagram.n), chi_table(gamma)):
+            if value != diagram.m(p, q):
                 raise ValueError(f"chi_{p}^{q} mismatch for shift vector")
+        self._fill(gamma, diagram)
 
 
 def shift_from_diagram(d: GTDiagram) -> ShiftVector:

@@ -9,14 +9,13 @@ equality.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
 from types import MappingProxyType
 
-from .combinatorics import chi_pairs
+from .combinatorics import ValueRecord, chi_pairs
 from .gtbasis import (
     AmbiguousSupportError,
     CoefficientTable,
@@ -44,11 +43,11 @@ from .series import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(ValueRecord):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self._fill(name, passed, detail)
 
 
 def seeded_matrices(n, seed, count, low=-5, high=5):

@@ -260,6 +260,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["k"] == 1
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["basis", "verify"])
+def test_out_path_that_cannot_be_written_is_a_usage_error(command, target, tmp_path, capsys):
+    path = tmp_path / target
+    code, out, err = run(capsys, command, "2,1,0", "--out", str(path))
+    assert_usage_error(code, err)
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("n", [MAX_N + 1, 30])
 @pytest.mark.parametrize("command", ["lattice", "basis", "gram", "verify", "eval"])
 def test_n_above_the_limit_is_a_usage_error(command, n, tmp_path, monkeypatch, capsys):

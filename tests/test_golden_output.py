@@ -5,7 +5,7 @@ json`, recorded from commit b2dc021; the gl6 weight 2,1,1,0,0,0 was recorded
 from commit 844cd93, so that a digest also covers n >= 6, and the gl7 weight
 2,1,0,0,0,0,0 (k = 99, with parallel directions) from commit 09b7fab.  The `verify W`
 digests (default checks, seed 0, 20 matrices) were recorded from commit
-f9f44a2.  A change that moves any byte of these outputs fails here;
+f9f44a2, and the `basis W --format text` digests from commit cc7067b.  A change that moves any byte of these outputs fails here;
 re-record a digest only for an intended output change, and say so.
 """
 
@@ -38,6 +38,11 @@ GOLDEN_VERIFY = {
     "2,1,0,0,0": "dc565fe718383f2f772520949c853756f28563396c2da33d486777618fe191b1",
 }
 
+GOLDEN_TEXT = {
+    "2,1,1,0": "5a02496f6027165dffd8033236aeeca5d2cecff28c5abea903f194ad7f2e92c7",
+    "8,4,0": "f84061f4b1e11e2404d9e439e5a6eb9a2fe15cd1b21a19ce5243d77dd8064cc5",
+}
+
 
 @pytest.mark.parametrize("weight", sorted(GOLDEN))
 def test_basis_document_is_byte_identical(weight, capsys):
@@ -51,3 +56,10 @@ def test_verify_output_is_byte_identical(weight, capsys):
     assert main(["verify", weight]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[weight]
+
+
+@pytest.mark.parametrize("weight", sorted(GOLDEN_TEXT))
+def test_basis_text_output_is_byte_identical(weight, capsys):
+    assert main(["basis", weight, "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TEXT[weight]
