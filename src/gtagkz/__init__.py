@@ -32,7 +32,6 @@ from .lattice import (
     ExponentVector,
     LatticeBasisVector,
     ShiftVector,
-    canonical_shifts,
     coset_leq,
     in_lattice,
     lattice_basis,
@@ -40,14 +39,7 @@ from .lattice import (
     nonneg_points,
     shift_from_diagram,
 )
-from .operators import (
-    agkz_apply,
-    e_action,
-    euler_weighted,
-    gkz_apply,
-    membership_check,
-    plucker_generator,
-)
+from .operators import agkz_apply, e_action, euler_weighted
 from .polyengine import (
     Polynomial,
     diff_apply,
@@ -57,12 +49,6 @@ from .polyengine import (
     poly_from_json,
     poly_to_json,
 )
-from .series import (
-    agkz_solution,
-    f_pair_series,
-    gamma_series,
-    j_pair_series,
-    j_series,
-)
+from .series import agkz_solution, gamma_series
 
 __version__ = "1.0.0"

@@ -26,7 +26,6 @@ from .polyengine import (
     poly_to_json,
     subset_to_str,
 )
-from .verify import CHECKS, run_checks
 
 SCHEMA = "gt-agkz/1"
 
@@ -268,6 +267,8 @@ def cmd_gram(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import CHECKS, run_checks
+
     weight, _ = normalize_weight(_parse_weight(args.top_row))
     _check_n(len(weight))
     names = None

@@ -18,6 +18,7 @@ from types import MappingProxyType
 
 from .combinatorics import GTDiagram, ValueRecord, enumerate_diagrams
 from .lattice import (
+    ExponentVector,
     ShiftVector,
     canonical_shift_table,
     coset_leq,
@@ -27,7 +28,6 @@ from .lattice import (
 )
 from .polyengine import Polynomial, pair, rational_sum
 from .series import (
-    _gamma_of,
     agkz_solution,
     f_pair_terms,
     feasible_down_shifts,
@@ -69,12 +69,6 @@ class RepresentationBasis(ValueRecord):
     def __len__(self):
         return len(self.entries)
 
-    def index_of(self, diagram: GTDiagram) -> int:
-        for idx, entry in enumerate(self.entries):
-            if entry.diagram == diagram:
-                return idx
-        raise KeyError("diagram not in basis")
-
 
 def build_basis(top_row) -> RepresentationBasis:
     """Enumerate diagrams, fix coherent shifts, and build both polynomial families."""
@@ -87,8 +81,8 @@ def build_basis(top_row) -> RepresentationBasis:
             BasisEntry(
                 diagram=diagram,
                 shift=shift,
-                gamma_poly=gamma_series(shift),
-                agkz_poly=agkz_solution(shift),
+                gamma_poly=gamma_series(shift.gamma),
+                agkz_poly=agkz_solution(shift.gamma),
                 witness=tuple(witness),
             )
         )
@@ -101,18 +95,16 @@ def gram_matrix(basis: RepresentationBasis):
     return [[pair(f, g) for g in polys] for f in polys]
 
 
-def coeff_C(delta, l) -> Fraction:
+def coeff_C(delta: ExponentVector, l) -> Fraction:
     """Orthogonalization coefficient: the paired series at delta - l.r, at A = 1.
 
     The value at 1 is the coefficient sum, so this sums the integer
     numerators and denominators of the series' terms as they are generated,
     over one common denominator, and builds no polynomial.
     """
-    vector = _gamma_of(delta)
-    n = vector.n
     l = tuple(l)
-    zero = (0,) * len(l)
-    return rational_sum((num, den) for _, num, den in f_pair_terms(vector - r_shift(n, l), l, zero))
+    base = delta - r_shift(delta.n, l)
+    return rational_sum((num, den) for _, num, den in f_pair_terms(base, l))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +121,7 @@ def _pochhammer_expansion(a: int, b: int):
     })
 
 
-def coeff_C_alt(delta, l) -> Fraction:
+def coeff_C_alt(delta: ExponentVector, l) -> Fraction:
     """The same coefficient through the expansion into plain Horn-type values.
 
     Expands each doubly weighted term into single Pochhammer series and
@@ -137,10 +129,8 @@ def coeff_C_alt(delta, l) -> Fraction:
     The expansion of a term is the product over the directions of their
     integer expansion tables, so each expanded term carries an integer weight.
     """
-    vector = _gamma_of(delta)
-    n = vector.n
     l = tuple(l)
-    base = vector - r_shift(n, l)
+    base = delta - r_shift(delta.n, l)
     sign_l = -1 if sum(l) % 2 else 1
     total = Fraction(0)
     for u in feasible_down_shifts(base):
@@ -194,7 +184,7 @@ class CoefficientTable:
                 l = coset_leq(other.shift.gamma, entry.shift.gamma)
                 if l is not None:
                     lowers.append((jdx, l))
-                    self.C[(idx, l)] = coeff_C(entry.shift, l)
+                    self.C[(idx, l)] = coeff_C(entry.shift.gamma, l)
                     self.C_exact[(idx, l)] = pair(entry.agkz_poly, other.agkz_poly)
             self.lowers[idx] = tuple(lowers)
             if self.C_exact[(idx, zero)] == 0:
@@ -232,12 +222,13 @@ class CoefficientTable:
         self.lowers = MappingProxyType(self.lowers)
 
 
-def gt_function(delta, basis: RepresentationBasis, table: CoefficientTable) -> Polynomial:
+def gt_function(
+    delta: ExponentVector, basis: RepresentationBasis, table: CoefficientTable
+) -> Polynomial:
     """The orthogonal basis function: sum of S coefficients of the basis's
     table times lower solutions."""
-    vector = _gamma_of(delta)
     idx = next(
-        (i for i, e in enumerate(basis.entries) if e.shift.gamma == vector), None
+        (i for i, e in enumerate(basis.entries) if e.shift.gamma == delta), None
     )
     if idx is None:
         raise KeyError("shift vector not in basis")
@@ -268,21 +259,20 @@ def representation(top_row: tuple):
     """
     basis = build_basis(top_row)
     table = CoefficientTable(basis)
-    return basis, table, tuple(gt_function(e.shift, basis, table) for e in basis.entries)
+    return basis, table, tuple(gt_function(e.shift.gamma, basis, table) for e in basis.entries)
 
 
-def canonical_form(gamma) -> Polynomial:
+def canonical_form(gamma: ExponentVector) -> Polynomial:
     """Sparse polynomial congruent to the lattice series modulo the Plucker generators.
 
     One monomial per feasible class up the r direction, placed at the unique
     nonnegative point of that class, weighted by (-1)^s / s! times the value
     at 1 of the Horn-type series at gamma + sum of all basis vectors.
     """
-    vector = _gamma_of(gamma)
-    n = vector.n
+    n = gamma.n
     terms = []
-    for s, constant in hypergeometric_constants(vector, feasible_up_shifts(vector)):
-        ray_point = vector + r_shift(n, s)
+    for s, constant in hypergeometric_constants(gamma, feasible_up_shifts(gamma)):
+        ray_point = gamma + r_shift(n, s)
         if ray_point.is_nonnegative():
             exponent = ray_point
         else:
@@ -296,15 +286,14 @@ def canonical_form(gamma) -> Polynomial:
     return Polynomial(n, terms)
 
 
-def hypergeometric_constants(gamma, shifts):
+def hypergeometric_constants(gamma: ExponentVector, shifts):
     """Pairs (s, (-1)^|s| / s! times the value at 1 of the Horn-type series at
     gamma + the sum of all lattice directions), for the shifts s where that
     value is nonzero."""
-    vector = _gamma_of(gamma)
-    for vec in lattice_basis(vector.n):
-        vector = vector + vec.v
+    for vec in lattice_basis(gamma.n):
+        gamma = gamma + vec.v
     for s in shifts:
-        constant = j_value(vector, s)
+        constant = j_value(gamma, s)
         if constant:
             yield s, Fraction(-1 if sum(s) % 2 else 1, multi_factorial(s)) * constant
 

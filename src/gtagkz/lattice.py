@@ -9,7 +9,6 @@ lattice {x : chi_p^q(x) = m_{p,q}}.
 from __future__ import annotations
 
 from functools import lru_cache
-from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from math import factorial
 
@@ -365,7 +364,7 @@ def _window_defect(gamma: ExponentVector, delta: ExponentVector):
     return defect
 
 
-def coset_leq(gamma: ExponentVector, delta: ExponentVector, *, with_witness=True):
+def coset_leq(gamma: ExponentVector, delta: ExponentVector):
     """Witness s >= 0 with gamma + s.r congruent to delta mod B, or None.
 
     The witness places the window defect on the unit-window vectors
@@ -374,8 +373,6 @@ def coset_leq(gamma: ExponentVector, delta: ExponentVector, *, with_witness=True
     defect = _window_defect(gamma, delta)
     if defect is None:
         return None
-    if not with_witness:
-        return ()
     n = gamma.n
     index = _basis_index(n)
     witness = [0] * len(lattice_basis(n))
@@ -456,7 +453,7 @@ def comparability_components(shifts):
     for group in same_weight.values():
         for a in group:
             for b in group:
-                if a != b and coset_leq(shifts[a].gamma, shifts[b].gamma, with_witness=False) is not None:
+                if a != b and _window_defect(shifts[a].gamma, shifts[b].gamma) is not None:
                     related[a][b] = True
                     ra, rb = find(a), find(b)
                     if ra != rb:
@@ -497,11 +494,6 @@ def canonical_shift_table(diagrams):
             shift = ShiftVector(base[bottom].gamma + r_shift(n, witness), diagrams[a])
             result[a] = (shift, witness)
     return result
-
-
-def canonical_shifts(diagrams):
-    """Coherent shift vectors for all diagrams of one representation."""
-    return [shift for shift, _ in canonical_shift_table(diagrams)]
 
 
 @lru_cache(maxsize=None)
@@ -598,8 +590,11 @@ def _coordinate_solver(n: int):
     Basis vector v^(i,j,x,X) has coefficient +1 on its pivot subset
     {1..i-1, j, x} + X, and the pivots are distinct, so t_b is y at b's pivot
     minus t_c v_c[pivot] over the other vectors c touching it.
-    These dependencies are acyclic; the steps come in an order that finishes
-    every t_c before a step reads it, and a cycle raises ArithmeticError.
+    Every entry of v_c but its pivot sorts before that pivot in canonical
+    subset order (the other entry of its size, {1..i-1, i, x} + X, comes first
+    and the rest are smaller), so every c touching b's pivot has a later pivot
+    and the steps run in descending pivot position; a step that would read a
+    t_c not yet computed raises ArithmeticError.
     """
     basis = lattice_basis(n)
     positions = subset_position(n)
@@ -614,11 +609,9 @@ def _coordinate_solver(n: int):
             b = owner.get(position)
             if b is not None and b != c:
                 needs[b].append((c, value))
-    graph = TopologicalSorter({b: [c for c, _ in pairs] for b, pairs in needs.items()})
-    try:
-        order = tuple(graph.static_order())
-    except CycleError:
-        raise ArithmeticError(f"lattice coordinates for n = {n} are not triangular") from None
+    if any(pivots[c] < pivots[b] for b, pairs in needs.items() for c, _ in pairs):
+        raise ArithmeticError(f"lattice coordinates for n = {n} are not triangular")
+    order = sorted(range(len(basis)), key=lambda b: -pivots[b])
     return tuple((b, pivots[b], tuple(needs[b])) for b in order)
 
 
@@ -698,13 +691,3 @@ def _class_entry(gamma: ExponentVector, down=None):
     triples, shared = _class_table(n, tuple(target))
     assert not triples or tuple(residual) == shared
     return triples, t
-
-
-def coset_points(gamma: ExponentVector):
-    """Pairs (x, t) over nonneg_points(gamma) with x = gamma + t.v exactly.
-
-    A new list on each call: t = T(x) - T(gamma), with T(x) read from the
-    class table and T(gamma) kept on gamma (see _class_entry).
-    """
-    triples, origin = _class_entry(gamma)
-    return [(x, tuple(a - b for a, b in zip(tx, origin))) for x, tx, _ in triples]

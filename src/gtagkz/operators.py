@@ -2,10 +2,11 @@
 
 The generator E_{i,j} acts on a polynomial in minor variables by replacing
 column j with column i in every variable that contains j but not i; the
-sign is the parity of re-sorting the column list.  The GKZ operator of a
-lattice basis vector is the difference of the two second-order derivatives
-along its positive and negative parts, and the antisymmetrized variant adds
-the derivative along the third Plucker monomial.
+sign is the parity of re-sorting the column list.  The antisymmetrized GKZ
+operator of a lattice basis vector is its Plucker generator applied as a
+differential operator: the difference of the two second-order derivatives
+along the vector's positive and negative parts plus the derivative along the
+third Plucker monomial.
 """
 
 from __future__ import annotations
@@ -48,22 +49,10 @@ def e_action(i: int, j: int, f: Polynomial) -> Polynomial:
     return Polynomial(n, result)
 
 
-def gkz_apply(alpha: int, f: Polynomial) -> Polynomial:
-    """Difference of second derivatives along v_plus and v_minus of basis vector alpha."""
-    vec = lattice_basis(f.n)[alpha]
-    operator = Polynomial(f.n, [(vec.v_plus, 1), (vec.v_minus, -1)])
-    return diff_apply(operator, f)
-
-
 def agkz_apply(alpha: int, f: Polynomial) -> Polynomial:
     """The antisymmetrized operator: GKZ part plus the v_zero second derivative,
     that is the Plucker generator of alpha applied as a differential operator."""
     return diff_apply(plucker_generators(f.n)[alpha], f)
-
-
-def plucker_generator(n: int, alpha: int) -> Polynomial:
-    """The quadratic Plucker relation attached to lattice basis vector alpha."""
-    return plucker_generators(n)[alpha]
 
 
 @lru_cache(maxsize=None)
@@ -90,22 +79,3 @@ def euler_weighted(p: int, q: int, f: Polynomial) -> Polynomial:
             terms.append((exponent, coefficient * value))
     return Polynomial(f.n, terms)
 
-
-def membership_check(f: Polynomial, top_row) -> bool:
-    """Whether every monomial has the exponent sums of the given highest weight.
-
-    For each order i the total exponent of the cardinality-i variables must
-    equal m_i - m_{i+1} (with m_{n+1} = 0).
-    """
-    values = list(top_row)
-    n = f.n
-    if len(values) != n:
-        raise ValueError("weight length must match the variable universe")
-    expected = [values[i] - (values[i + 1] if i + 1 < n else 0) for i in range(n)]
-    for exponent, _ in f.terms.items():
-        sums = [0] * n
-        for X, v in exponent.items():
-            sums[len(X) - 1] += v
-        if sums != expected:
-            return False
-    return True

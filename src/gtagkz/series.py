@@ -35,10 +35,6 @@ def rising(t: int, s: int) -> int:
     return result
 
 
-def _gamma_of(shift_or_vector) -> ExponentVector:
-    return getattr(shift_or_vector, "gamma", shift_or_vector)
-
-
 def _multi_index(n: int, s) -> tuple:
     """s as a tuple, checked to be a nonnegative multi-index over the lattice directions."""
     s = tuple(s)
@@ -72,32 +68,22 @@ def _horn_terms(vector: ExponentVector, *indices, down=None):
             yield x, weight, x_factorial
 
 
-def gamma_series(gamma) -> Polynomial:
+def gamma_series(gamma: ExponentVector) -> Polynomial:
     """Sum of A^x / x! over the nonnegative points of gamma + B."""
-    vector = _gamma_of(gamma)
-    terms = [(x, Fraction(1, x_factorial)) for x, _, x_factorial in _horn_terms(vector)]
-    return Polynomial(vector.n, terms)
+    terms = [(x, Fraction(1, x_factorial)) for x, _, x_factorial in _horn_terms(gamma)]
+    return Polynomial(gamma.n, terms)
 
 
-def j_series(gamma: ExponentVector, s) -> Polynomial:
-    """Horn-type series with Pochhammer weight (t+1)...(t+s) per lattice direction.
-
-    Unlike the plain series this depends on the representative gamma, not
-    only on its class mod B.
-    """
-    vector = _gamma_of(gamma)
-    terms = [(x, Fraction(weight, x_factorial)) for x, weight, x_factorial in _horn_terms(vector, s)]
-    return Polynomial(vector.n, terms)
-
-
-def j_value(gamma, s, down=None) -> Fraction:
-    """The value at A = 1 of j_series at the representative gamma - down.r
+def j_value(gamma: ExponentVector, s, down=None) -> Fraction:
+    """The value at A = 1 of the Horn-type series with Pochhammer weight
+    (t+1)...(t+s) per lattice direction at the representative gamma - down.r
     (gamma itself when down is None), a hypergeometric constant.
 
-    Sums the integer terms over one common denominator; builds neither a
-    polynomial nor the representative (see lattice._class_entry).
+    Unlike the plain series it depends on the representative, not only on its
+    class mod B.  Sums the integer terms over one common denominator; builds
+    neither a polynomial nor the representative (see lattice._class_entry).
     """
-    terms = _horn_terms(_gamma_of(gamma), s, down=down)
+    terms = _horn_terms(gamma, s, down=down)
     return rational_sum((weight, x_factorial) for _, weight, x_factorial in terms)
 
 
@@ -145,99 +131,57 @@ def _pattern_classes(n: int, top: tuple, sums: tuple, full: int):
 FEASIBLE_SHIFT_CACHE_SIZE = 4096
 
 
-def feasible_down_shifts(gamma):
+@lru_cache(maxsize=FEASIBLE_SHIFT_CACHE_SIZE)
+def feasible_down_shifts(gamma: ExponentVector):
     """All s >= 0 for which gamma - s.r + B contains a nonnegative point, sorted.
 
     The union of the r-routes up from every feasible class of the same top row
     and weight; gamma may be any integer vector, not only a diagram's shift.
-    Read from a memo keyed on the vector (see FEASIBLE_SHIFT_CACHE_SIZE).
+    Memoized per vector (see FEASIBLE_SHIFT_CACHE_SIZE).
     """
-    return _down_shifts(_gamma_of(gamma))
+    return tuple(sorted(s for low in _feasible_classes(gamma) for s in r_routes(low, gamma)))
 
 
-@lru_cache(maxsize=FEASIBLE_SHIFT_CACHE_SIZE)
-def _down_shifts(vector: ExponentVector):
-    """The shifts of feasible_down_shifts, memoized per vector."""
-    return tuple(sorted(s for low in _feasible_classes(vector) for s in r_routes(low, vector)))
-
-
-def feasible_up_shifts(gamma):
+def feasible_up_shifts(gamma: ExponentVector):
     """All s >= 0 for which gamma + s.r + B contains a nonnegative point, sorted.
 
     The union of the r-routes from gamma up to every feasible class of the
     same top row and weight.
     """
-    vector = _gamma_of(gamma)
-    return tuple(sorted(s for high in _feasible_classes(vector) for s in r_routes(vector, high)))
+    return tuple(sorted(s for high in _feasible_classes(gamma) for s in r_routes(gamma, high)))
 
 
-def agkz_solution(gamma) -> Polynomial:
+def agkz_solution(gamma: ExponentVector) -> Polynomial:
     """Irreducible polynomial solution of the antisymmetrized GKZ system.
 
     The alternating sum (-1)^|s| / s! times the Horn-type series at the
     representative gamma - s.r, over every s with a feasible class; the sum
     depends on the representative gamma, not only on gamma mod B.
     """
-    vector = _gamma_of(gamma)
-    n = vector.n
     terms = []
-    for s in feasible_down_shifts(vector):
+    for s in feasible_down_shifts(gamma):
         sign = -1 if sum(s) % 2 else 1
         norm = multi_factorial(s)
         terms.extend(
             (x, Fraction(sign * weight, x_factorial * norm))
-            for x, weight, x_factorial in _horn_terms(vector, s, down=s)
+            for x, weight, x_factorial in _horn_terms(gamma, s, down=s)
         )
-    return Polynomial(n, terms)
+    return Polynomial(gamma.n, terms)
 
 
-def j_pair_series(delta: ExponentVector, a, b) -> Polynomial:
-    """Doubly weighted Horn-type series with both Pochhammer products.
-
-    Coefficient of A^(delta + t.v) is (t+1)...(t+a) (t+1)...(t+b) divided by
-    (delta + t.v)! a! b!; the factorial normalization lives here, not in the
-    alternating sum built on top of it.
-    """
-    vector = _gamma_of(delta)
-    a, b = _multi_index(vector.n, a), _multi_index(vector.n, b)
-    norm = multi_factorial(a) * multi_factorial(b)
-    terms = [
-        (x, Fraction(weight, x_factorial * norm))
-        for x, weight, x_factorial in _horn_terms(vector, a, b)
-    ]
-    return Polynomial(vector.n, terms)
-
-
-def f_pair_series(delta: ExponentVector, l1, l2) -> Polynomial:
-    """Alternating sum of paired series whose value at 1 gives scalar products.
-
-    Requires min(l1, l2) = 0 componentwise.  The value at A = 1 equals the
-    pairing of the solutions at delta + l1.r and delta + l2.r whenever the
-    classes involved are joined by unique r-combinations; matching that
-    pairing forces a single factorial normalization, the one inside
-    j_pair_series.  (With parallel routes, possible from n = 4 on, cross
-    terms are missing and the exact pairing must be used instead.)
-    """
-    vector = _gamma_of(delta)
-    terms = [(x, Fraction(num, den)) for x, num, den in f_pair_terms(vector, l1, l2)]
-    return Polynomial(vector.n, terms)
-
-
-def f_pair_terms(delta: ExponentVector, l1, l2):
-    """The unmerged terms of f_pair_series(delta, l1, l2) as integers (x,
+def f_pair_terms(base: ExponentVector, l):
+    """The terms of the paired series at base with gap l, as integers (x,
     numerator, denominator), coefficient numerator / denominator.
 
-    Their sum, polyengine.rational_sum, is the value of the series at A = 1.
+    Over every feasible down shift u of base, (-1)^|l| / ((u + l)! u!) times
+    the Horn-type series at base - u.r with both Pochhammer weights u + l and
+    u.  Their sum, polyengine.rational_sum, is the value of the series at
+    A = 1, the coefficient gtbasis.coeff_C.
     """
-    vector = _gamma_of(delta)
-    n = vector.n
-    l1, l2 = _multi_index(n, l1), _multi_index(n, l2)
-    if any(min(x, y) != 0 for x, y in zip(l1, l2)):
-        raise ValueError("need min(l1, l2) = 0 componentwise")
-    sign = -1 if (sum(l1) + sum(l2)) % 2 else 1
-    for u in feasible_down_shifts(vector):
-        a = tuple(x + y for x, y in zip(u, l1))
-        b = tuple(x + y for x, y in zip(u, l2))
-        norm = multi_factorial(a) * multi_factorial(b)
-        for x, weight, x_factorial in _horn_terms(vector, a, b, down=u):
+    l = _multi_index(base.n, l)
+    sign = -1 if sum(l) % 2 else 1
+    for u in feasible_down_shifts(base):
+        a = tuple(x + y for x, y in zip(u, l))
+        norm = multi_factorial(a) * multi_factorial(u)
+        for x, weight, x_factorial in _horn_terms(base, a, u, down=u):
             yield x, sign * weight, x_factorial * norm

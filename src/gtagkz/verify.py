@@ -259,7 +259,7 @@ def check_canf_minor_identity(ctx: VerifyContext) -> CheckResult:
     skipped = 0
     for entry in ctx.basis.entries:
         try:
-            reduced = canonical_form(entry.shift)
+            reduced = canonical_form(entry.shift.gamma)
         except AmbiguousSupportError:
             skipped += 1
             continue
@@ -321,7 +321,7 @@ def check_coeff_crosscheck(ctx: VerifyContext) -> CheckResult:
     table = ctx.table
     for (idx, l), value in table.C.items():
         entry = ctx.basis.entries[idx]
-        alternative = coeff_C_alt(entry.shift, l)
+        alternative = coeff_C_alt(entry.shift.gamma, l)
         if alternative != value:
             failures.append((entry.diagram.rows, l, str(value), str(alternative)))
     return CheckResult(

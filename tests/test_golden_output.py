@@ -1,11 +1,14 @@
-"""Whole-output golden tests: the bytes of `basis W --format json` and `verify W`.
+"""Whole-output golden tests: the bytes of `basis W --format json`, `verify W`
+and other JSON documents.
 
 The digests are the sha256 of the full stdout of `gt-agkz basis W --format
 json`, recorded from commit b2dc021; the gl6 weight 2,1,1,0,0,0 was recorded
 from commit 844cd93, so that a digest also covers n >= 6, and the gl7 weight
 2,1,0,0,0,0,0 (k = 99, with parallel directions) from commit 09b7fab.  The `verify W`
 digests (default checks, seed 0, 20 matrices) were recorded from commit
-f9f44a2, and the `basis W --format text` digests from commit cc7067b.  A change that moves any byte of these outputs fails here;
+f9f44a2, and the `basis W --format text` digests from commit cc7067b.  The
+`gram`, `lattice` and `diagrams` JSON digests were recorded from commit
+dc13330.  A change that moves any byte of these outputs fails here;
 re-record a digest only for an intended output change, and say so.
 """
 
@@ -43,6 +46,12 @@ GOLDEN_TEXT = {
     "8,4,0": "f84061f4b1e11e2404d9e439e5a6eb9a2fe15cd1b21a19ce5243d77dd8064cc5",
 }
 
+GOLDEN_OTHER = {
+    "gram 2,1,0,0": "7624f0e43129e7b5cd8c217b7c881dc1f0163ca166b83d487f231dd0afd795f5",
+    "lattice 5": "1c878b43057d0d5663297c10c0aa94621fd599526a9d11c75194ef52bf64b217",
+    "diagrams 3,1,0": "8a0d36dce3b88fb0ad1bd4b7b168a58f1a605c645d358be0668e73ed0d640cd2",
+}
+
 
 @pytest.mark.parametrize("weight", sorted(GOLDEN))
 def test_basis_document_is_byte_identical(weight, capsys):
@@ -63,3 +72,10 @@ def test_basis_text_output_is_byte_identical(weight, capsys):
     assert main(["basis", weight, "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TEXT[weight]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_OTHER))
+def test_other_json_documents_are_byte_identical(command, capsys):
+    assert main(command.split() + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OTHER[command]

@@ -18,13 +18,12 @@ from gtagkz.combinatorics import (
 )
 from gtagkz.lattice import (
     ExponentVector,
+    LatticeBasisVector,
     canonical_shift_table,
-    canonical_shifts,
     chi_table,
     combine,
     comparability_components,
     coset_leq,
-    coset_points,
     in_lattice,
     lattice_basis,
     lattice_rank,
@@ -36,6 +35,8 @@ from gtagkz.lattice import (
 from gtagkz.gtbasis import weyl_dimension
 from gtagkz.polyengine import exponent_factorial
 from gtagkz.series import feasible_down_shifts
+
+from _reference import canonical_shifts, coset_points
 
 
 def brute_force_points(gamma):
@@ -153,8 +154,8 @@ def test_coset_leq_different_h_rows_incomparable():
 def test_coset_leq_partial_order_axioms():
     shifts = [shift_from_diagram(d).gamma for d in enumerate_diagrams((2, 1, 0))]
     for a, b in itertools.product(shifts, repeat=2):
-        ab = coset_leq(a, b, with_witness=False)
-        ba = coset_leq(b, a, with_witness=False)
+        ab = coset_leq(a, b)
+        ba = coset_leq(b, a)
         if ab is not None and ba is not None:
             assert a.dense()[:6] != b.dense()[:6] or a == b
             # antisymmetry on classes: both directions force equal chi tables
@@ -163,10 +164,10 @@ def test_coset_leq_partial_order_axioms():
             )
     for a, b, c in itertools.product(shifts, repeat=3):
         if (
-            coset_leq(a, b, with_witness=False) is not None
-            and coset_leq(b, c, with_witness=False) is not None
+            coset_leq(a, b) is not None
+            and coset_leq(b, c) is not None
         ):
-            assert coset_leq(a, c, with_witness=False) is not None
+            assert coset_leq(a, c) is not None
 
 
 def test_canonical_shift_minimum_keeps_staircase():
@@ -182,7 +183,7 @@ def test_canonical_shift_exact_r_differences():
         n = len(top)
         table = canonical_shift_table(diagrams)
         for (sa, wa), (sb, wb) in itertools.product(table, repeat=2):
-            if coset_leq(sa.gamma, sb.gamma, with_witness=False) is not None:
+            if coset_leq(sa.gamma, sb.gamma) is not None:
                 gap = tuple(x - y for x, y in zip(wb, wa))
                 assert all(part >= 0 for part in gap)
                 assert sa.gamma + r_shift(n, gap) == sb.gamma
@@ -208,7 +209,7 @@ def test_nonneg_points_against_brute_force_on_pipeline_classes(top):
     # every class gamma - u.r that agkz_solution sums a Horn-type series over
     n = len(top)
     for shift in canonical_shifts(enumerate_diagrams(top)):
-        for u in feasible_down_shifts(shift):
+        for u in feasible_down_shifts(shift.gamma):
             gamma = shift.gamma - r_shift(n, u)
             assert nonneg_points(gamma) == brute_force_points(gamma)
 
@@ -323,6 +324,39 @@ def test_lattice_coordinates_round_trip(n, data):
     c = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis)))
     moved = y + combine([vec.v for vec in basis], c, n)
     assert lattice._linear_maps(n, moved.items()) == (tuple(a + b for a, b in zip(t, c)), residual)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_coordinate_solver_steps_read_only_computed_coordinates(n):
+    """In descending pivot position, every step reads coordinates of later pivots."""
+    steps = lattice._coordinate_solver.__wrapped__(n)
+    pivots = {b: pivot for b, pivot, _ in steps}
+    assert [pivot for _, pivot, _ in steps] == sorted(pivots.values(), reverse=True)
+    assert all(pivots[c] > pivot for _, pivot, needs in steps for c, _ in needs)
+
+
+def test_coordinate_solver_refuses_a_basis_out_of_pivot_order(monkeypatch):
+    """v_b + v_c for v_b puts b on c's later pivot: c's step would read t_b
+    before b's step computes it, so the solver raises."""
+    basis = lattice_basis(4)
+    positions = subset_position(4)
+    pivot = lambda vec: (*range(1, vec.i), vec.j, vec.x, *vec.X)
+    b, c = next(
+        (b, c)
+        for b, c in itertools.permutations(range(len(basis)), 2)
+        if positions[pivot(basis[b])] < positions[pivot(basis[c])]
+        and not basis[b].v[pivot(basis[c])]
+        and not basis[c].v[pivot(basis[b])]
+    )
+    vec = basis[b]
+    corrupted = list(basis)
+    corrupted[b] = LatticeBasisVector(
+        i=vec.i, j=vec.j, x=vec.x, X=vec.X, v=vec.v + basis[c].v,
+        v_plus=vec.v_plus, v_minus=vec.v_minus, v_zero=vec.v_zero, r=vec.r,
+    )
+    monkeypatch.setattr(lattice, "lattice_basis", lambda n: corrupted)
+    with pytest.raises(ArithmeticError, match="not triangular"):
+        lattice._coordinate_solver.__wrapped__(4)
 
 
 def test_coset_table_is_immutable_and_coset_points_is_a_fresh_list():
@@ -466,7 +500,7 @@ def test_class_entry_of_a_down_shift_equals_that_of_the_built_representative(top
     n = len(top)
     checked = 0
     for shift in canonical_shifts(enumerate_diagrams(top)):
-        for s in feasible_down_shifts(shift):
+        for s in feasible_down_shifts(shift.gamma):
             expected = lattice._class_entry(shift.gamma - r_shift(n, s))
             assert lattice._class_entry(shift.gamma, s) == expected
             assert expected[0]
@@ -503,7 +537,7 @@ def test_comparability_components_match_all_pairs(top):
     shifts = [shift_from_diagram(d) for d in enumerate_diagrams(top)]
     count = len(shifts)
     related = [
-        [a != b and coset_leq(shifts[a].gamma, shifts[b].gamma, with_witness=False) is not None
+        [a != b and coset_leq(shifts[a].gamma, shifts[b].gamma) is not None
          for b in range(count)]
         for a in range(count)
     ]

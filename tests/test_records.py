@@ -154,10 +154,12 @@ def test_shift_vector_checks_chi():
 
 def test_importing_the_cli_loads_no_code_inspection_modules():
     """The records need no dataclasses, whose import loads inspect, ast and dis;
-    and nothing loads typing.  Checks which modules are loaded, not for how long."""
+    nothing loads typing; and only the verify command loads gtagkz.verify and
+    its random.  Checks which modules are loaded, not for how long."""
+    unwanted = {"dataclasses", "inspect", "typing", "gtagkz.verify", "random"}
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import gtagkz.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        f"print(sorted({unwanted!r} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", script, SRC], capture_output=True, text=True, check=True

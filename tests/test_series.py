@@ -7,28 +7,21 @@ from math import factorial
 import pytest
 
 from gtagkz.combinatorics import GTDiagram, chi_apply, enumerate_diagrams, highest_diagram
-from gtagkz.lattice import (
-    ExponentVector,
-    canonical_shifts,
-    lattice_basis,
-    r_routes,
-    r_shift,
-    shift_from_diagram,
-)
-from gtagkz.operators import euler_weighted, gkz_apply
+from gtagkz.lattice import ExponentVector, lattice_basis, r_routes, r_shift, shift_from_diagram
+from gtagkz.operators import euler_weighted
 from gtagkz.polyengine import Polynomial, diff_apply, evaluate_at_ones, pair
 from gtagkz.series import (
     _feasible_classes,
     agkz_solution,
-    f_pair_series,
+    f_pair_terms,
     feasible_down_shifts,
     feasible_up_shifts,
     gamma_series,
-    j_pair_series,
-    j_series,
     j_value,
     rising,
 )
+
+from _reference import canonical_shifts, f_pair_series, gkz_apply, j_pair_series, j_series
 
 
 def gauss_2f1_polynomial_coefficients(a1, a2, b1, count):
@@ -43,7 +36,7 @@ def gauss_2f1_polynomial_coefficients(a1, a2, b1, count):
 
 def test_gamma_series_of_highest_diagram_is_highest_vector():
     shift = shift_from_diagram(highest_diagram((2, 1, 0)))
-    poly = gamma_series(shift)
+    poly = gamma_series(shift.gamma)
     expected = Polynomial.monomial(ExponentVector(3, [((1,), 1), ((1, 2), 1)]))
     assert poly == expected
     assert evaluate_at_ones(poly) == 1
@@ -51,7 +44,7 @@ def test_gamma_series_of_highest_diagram_is_highest_vector():
 
 def test_gamma_series_term_count_matches_gauss_polynomial():
     d = GTDiagram(((2, 1, 0), (2, 1), (1,)))
-    poly = gamma_series(shift_from_diagram(d))
+    poly = gamma_series(shift_from_diagram(d).gamma)
     # minimal point has A_2 exponent 1 and A_13 exponent 0: the Gauss factor
     # (a2)_n vanishes from order 1 on, so the polynomial has a single term
     assert len(poly.terms) == 1
@@ -118,14 +111,14 @@ def test_gkz_annihilates_gamma_series():
     for top in ((2, 1, 0), (1, 1, 0, 0)):
         n = len(top)
         for d in enumerate_diagrams(top):
-            poly = gamma_series(shift_from_diagram(d))
+            poly = gamma_series(shift_from_diagram(d).gamma)
             for alpha in range(len(lattice_basis(n))):
                 assert gkz_apply(alpha, poly).is_zero()
 
 
 def test_homogeneity_eigenvalues():
     for d in enumerate_diagrams((2, 1, 0, 0)):
-        poly = gamma_series(shift_from_diagram(d))
+        poly = gamma_series(shift_from_diagram(d).gamma)
         for p in range(1, 5):
             for q in range(p, 5):
                 assert euler_weighted(p, q, poly) == poly.scale(d.m(p, q))
@@ -134,7 +127,7 @@ def test_homogeneity_eigenvalues():
 def test_solution_of_highest_diagram_is_single_monomial():
     diagrams = enumerate_diagrams((2, 1, 0))
     shift = canonical_shifts(diagrams)[diagrams.index(highest_diagram((2, 1, 0)))]
-    assert agkz_solution(shift) == gamma_series(shift)
+    assert agkz_solution(shift.gamma) == gamma_series(shift.gamma)
 
 
 def test_solution_class_terms_reproduce_gamma_series():
@@ -143,11 +136,11 @@ def test_solution_class_terms_reproduce_gamma_series():
     diagrams = enumerate_diagrams((2, 1, 0, 0))
     for shift in canonical_shifts(diagrams):
         own = chi_table(shift.gamma)
-        poly = agkz_solution(shift)
+        poly = agkz_solution(shift.gamma)
         own_part = Polynomial(
             4, [(e, c) for e, c in poly.terms.items() if chi_table(e) == own]
         )
-        assert own_part == gamma_series(shift)
+        assert own_part == gamma_series(shift.gamma)
 
 
 def test_solution_depends_on_representative_gl4():
@@ -170,7 +163,7 @@ def test_support_within_union_of_shifted_classes():
                 chi_table(shift.gamma - r_shift(n, s))
                 for s in feasible_down_shifts(shift.gamma)
             }
-            for exponent in agkz_solution(shift).terms:
+            for exponent in agkz_solution(shift.gamma).terms:
                 assert chi_table(exponent) in arrays
 
 
@@ -180,12 +173,12 @@ def test_hand_computed_gl3_solutions():
     high = GTDiagram(((2, 1, 0), (1, 1), (1,)))
     table = {s.diagram: s for s in canonical_shifts(diagrams)}
     n3 = lambda *pairs: Polynomial(3, [(ExponentVector(3, e), c) for e, c in pairs])
-    f_low = agkz_solution(table[low])
+    f_low = agkz_solution(table[low].gamma)
     assert f_low == n3(
         ([((2,), 1), ((1, 3), 1)], 1),
         ([((1,), 1), ((2, 3), 1)], 1),
     )
-    f_high = agkz_solution(table[high])
+    f_high = agkz_solution(table[high].gamma)
     assert f_high == n3(
         ([((3,), 1), ((1, 2), 1)], 1),
         ([((2,), 1), ((1, 3), 1)], -1),
@@ -212,38 +205,23 @@ def test_j_pair_series_reduces_to_plain_series():
     assert lhs == rhs
 
 
-def test_f_pair_series_requires_disjoint_supports():
-    d = GTDiagram(((2, 1, 0), (2, 0), (1,)))
-    gamma = shift_from_diagram(d).gamma
-    with pytest.raises(ValueError):
-        f_pair_series(gamma, (1,), (1,))
-
-
 @pytest.mark.parametrize("bad", [(1, 0, 0, 0), (0, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, 0, 0, -2)])
 def test_series_reject_a_malformed_multi_index(bad):
     """A multi-index must have one nonnegative part per lattice direction (5 for gl4)."""
     gamma = canonical_shifts(enumerate_diagrams((2, 1, 0, 0)))[3].gamma
     with pytest.raises(ValueError):
-        j_series(gamma, bad)
+        j_value(gamma, bad)
     with pytest.raises(ValueError):
-        j_pair_series(gamma, bad, (0,) * 5)
-    with pytest.raises(ValueError):
-        j_pair_series(gamma, (0,) * 5, bad)
-    with pytest.raises(ValueError):
-        f_pair_series(gamma, bad, (0,) * 5)
-    with pytest.raises(ValueError):
-        f_pair_series(gamma, (0,) * 5, bad)
+        list(f_pair_terms(gamma, bad))
 
 
 def test_malformed_multi_index_raises_on_an_empty_coset():
     bad = ExponentVector(3, [((1,), 2), ((2,), -1)])
     for s in ((), (0, 0), (-1,)):
         with pytest.raises(ValueError):
-            j_series(bad, s)
-        with pytest.raises(ValueError):
             j_value(bad, s)
         with pytest.raises(ValueError):
-            f_pair_series(bad, s, (0,))
+            list(f_pair_terms(bad, s))
 
 
 @pytest.mark.parametrize("top", [(8, 4, 0), (3, 1, 0, 0), (3, 2, 1, 0)])
@@ -261,7 +239,7 @@ def test_j_value_is_the_j_series_at_ones(top):
         gamma = shift.gamma
         for s in feasible_down_shifts(gamma):
             cases.append((gamma - r_shift(n, s), s))
-            assert j_value(shift, s, down=s) == j_value(*cases[-1])
+            assert j_value(gamma, s, down=s) == j_value(*cases[-1])
         cases += [(gamma + lattice_sum, s) for s in feasible_up_shifts(gamma)]
         cases += [(gamma, tuple(rng.randint(0, 2) for _ in range(k))) for _ in range(2)]
     nonzero = 0
@@ -281,13 +259,13 @@ def test_f_pair_series_matches_direct_pairings_on_chains():
     bottom = table[GTDiagram(((4, 2, 0), (4, 0), (2,)))].gamma
     for l1 in ((0,), (1,), (2,)):
         direct = pair(agkz_solution(bottom + r_shift(3, l1)), agkz_solution(bottom))
-        closed = evaluate_at_ones(f_pair_series(bottom, l1, (0,)))
+        closed = evaluate_at_ones(f_pair_series(bottom, l1))
         assert direct == closed
 
 
 def test_f_pair_series_empty_support_is_zero():
     bad = ExponentVector(3, [((1,), 2), ((2,), -1)])
-    assert f_pair_series(bad, (0,), (0,)).is_zero()
+    assert f_pair_series(bad, (0,)).is_zero()
 
 
 def _uncached_classes(vector):

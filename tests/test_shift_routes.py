@@ -15,7 +15,7 @@ import pytest
 from gtagkz.combinatorics import chi_apply, chi_pairs, enumerate_diagrams
 from gtagkz.lattice import (
     ExponentVector,
-    canonical_shifts,
+    canonical_shift_table,
     chi_table,
     lattice_basis,
     nonneg_points,
@@ -143,7 +143,7 @@ def oracle_routes(gamma, delta):
 
 
 def _shifts(top):
-    return [shift.gamma for shift in canonical_shifts(enumerate_diagrams(top))]
+    return [shift.gamma for shift, _ in canonical_shift_table(enumerate_diagrams(top))]
 
 
 def _differences(top):
