@@ -155,8 +155,9 @@ class CoefficientTable:
     such parallel routes exist (possible from n = 4 on) the closed form
     misses their cross terms, so S is always built from the exact pairings.
 
-    All four tables (C, C_exact, S and lowers, the (jdx, l) pairs below each
-    entry) are read-only mappings once the table is built.
+    All five tables (C, C_exact, S, lowers, the (jdx, l) pairs below each
+    entry, and positions, each entry's index by its shift vector) are
+    read-only mappings once the table is built.
 
     S[(idx, l)] is the coefficient of the solution at gap l below entry idx
     in its Gelfand-Tsetlin function G: exact Gram-Schmidt of F over the
@@ -171,6 +172,9 @@ class CoefficientTable:
         self.C_exact = {}
         self.S = {}
         self.lowers = {}
+        self.positions = {}
+        for idx, entry in enumerate(basis.entries):
+            self.positions.setdefault(entry.shift.gamma, idx)
         n = basis.n
         zero = (0,) * len(lattice_basis(n))
         weights = [entry.diagram.weight() for entry in basis.entries]
@@ -220,6 +224,7 @@ class CoefficientTable:
         self.C_exact = MappingProxyType(self.C_exact)
         self.S = MappingProxyType(self.S)
         self.lowers = MappingProxyType(self.lowers)
+        self.positions = MappingProxyType(self.positions)
 
 
 def gt_function(
@@ -227,9 +232,7 @@ def gt_function(
 ) -> Polynomial:
     """The orthogonal basis function: sum of S coefficients of the basis's
     table times lower solutions."""
-    idx = next(
-        (i for i, e in enumerate(basis.entries) if e.shift.gamma == delta), None
-    )
+    idx = table.positions.get(delta)
     if idx is None:
         raise KeyError("shift vector not in basis")
     n = basis.n
@@ -238,9 +241,8 @@ def gt_function(
     for jdx, l in table.lowers[idx]:
         lower = basis.entries[jdx]
         assert entry.shift.gamma - r_shift(n, l) == lower.shift.gamma
-        scale = table.S[(idx, l)]
-        terms.extend((x, scale * c) for x, c in lower.agkz_poly.terms.items())
-    return Polynomial(n, terms)
+        terms.extend(lower.agkz_poly.scaled_triples(table.S[(idx, l)]))
+    return Polynomial.from_triples(n, terms)
 
 
 # Bounded memo size.  `basis W` and then `verify W` in one process read one

@@ -428,6 +428,7 @@ def r_routes(gamma: ExponentVector, delta: ExponentVector):
         current[alpha] = 0
 
     search(0)
+    del search  # it refers to itself: free the cycle, and routes, without the collector
     return sorted(routes)
 
 
@@ -564,6 +565,7 @@ def _class_table(n: int, target: tuple):
                 residual[c] += value
 
     search(0)
+    del search  # it refers to itself: free the cycle, and points, without the collector
     subsets = enumerate_subsets(n)
     triples, shared = [], None
     for point in sorted(points):

@@ -24,19 +24,22 @@ def _substitution_sign(i: int, j: int, others) -> int:
 
 
 def e_action(i: int, j: int, f: Polynomial) -> Polynomial:
-    """Apply the generator E_{i,j} as a differential operator."""
+    """Apply the generator E_{i,j} as a differential operator.
+
+    Works on f's integer numerators over its denominator; the unit move from
+    X to target acts only where X has power at least 1, so the exponents stay
+    nonnegative."""
     n = f.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"generator indices must lie in 1..{n}")
+    result = {}
     if i == j:
-        terms = []
-        for exponent, coefficient in f.terms.items():
+        for exponent, numerator in f._num.items():
             count = sum(v for X, v in exponent.items() if i in X)
             if count:
-                terms.append((exponent, coefficient * count))
-        return Polynomial(n, terms)
-    result = []
-    for exponent, coefficient in f.terms.items():
+                result[exponent] = numerator * count
+        return Polynomial._reduced(n, result, f._den)
+    for exponent, numerator in f._num.items():
         for X, power in exponent.items():
             if j not in X or i in X:
                 continue
@@ -45,8 +48,8 @@ def e_action(i: int, j: int, f: Polynomial) -> Polynomial:
             sign = _substitution_sign(i, j, others)
             # X and target have one size, so lex order is canonical order
             shifted = exponent._merge(tuple(sorted(((X, -1), (target, 1)))), 1)
-            result.append((shifted, coefficient * power * sign))
-    return Polynomial(n, result)
+            result[shifted] = result.get(shifted, 0) + numerator * power * sign
+    return Polynomial._reduced(n, result, f._den)
 
 
 def agkz_apply(alpha: int, f: Polynomial) -> Polynomial:
@@ -72,10 +75,10 @@ def euler_weighted(p: int, q: int, f: Polynomial) -> Polynomial:
     """
     from .combinatorics import chi_apply
 
-    terms = []
-    for exponent, coefficient in f.terms.items():
+    result = {}
+    for exponent, numerator in f._num.items():
         value = chi_apply(p, q, exponent)
         if value:
-            terms.append((exponent, coefficient * value))
-    return Polynomial(f.n, terms)
+            result[exponent] = numerator * value
+    return Polynomial._reduced(f.n, result, f._den)
 

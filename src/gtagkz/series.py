@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .combinatorics import GTDiagram, _pattern_rows, chi_pairs
 from .lattice import (
@@ -54,9 +55,10 @@ def _horn_terms(vector: ExponentVector, *indices, down=None):
     lattice series.  The representative vector - down.r is never built (see
     lattice._class_entry).
     """
-    factors = [
-        (b, part) for s in indices for b, part in enumerate(_multi_index(vector.n, s)) if part
-    ]
+    factors = []  # (direction, part) for the nonzero parts, most parts being zero
+    for s in indices:
+        s = _multi_index(vector.n, s)
+        factors.extend(zip(compress(range(len(s)), s), filter(None, s)))
     triples, origin = _class_entry(vector, down)
     for x, tx, x_factorial in triples:
         weight = 1
@@ -70,8 +72,9 @@ def _horn_terms(vector: ExponentVector, *indices, down=None):
 
 def gamma_series(gamma: ExponentVector) -> Polynomial:
     """Sum of A^x / x! over the nonnegative points of gamma + B."""
-    terms = [(x, Fraction(1, x_factorial)) for x, _, x_factorial in _horn_terms(gamma)]
-    return Polynomial(gamma.n, terms)
+    return Polynomial.from_triples(
+        gamma.n, ((x, 1, x_factorial) for x, _, x_factorial in _horn_terms(gamma))
+    )
 
 
 def j_value(gamma: ExponentVector, s, down=None) -> Fraction:
@@ -163,10 +166,10 @@ def agkz_solution(gamma: ExponentVector) -> Polynomial:
         sign = -1 if sum(s) % 2 else 1
         norm = multi_factorial(s)
         terms.extend(
-            (x, Fraction(sign * weight, x_factorial * norm))
+            (x, sign * weight, x_factorial * norm)
             for x, weight, x_factorial in _horn_terms(gamma, s, down=s)
         )
-    return Polynomial(gamma.n, terms)
+    return Polynomial.from_triples(gamma.n, terms)
 
 
 def f_pair_terms(base: ExponentVector, l):

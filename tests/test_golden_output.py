@@ -8,11 +8,15 @@ from commit 844cd93, so that a digest also covers n >= 6, and the gl7 weight
 digests (default checks, seed 0, 20 matrices) were recorded from commit
 f9f44a2, and the `basis W --format text` digests from commit cc7067b.  The
 `gram`, `lattice` and `diagrams` JSON digests were recorded from commit
-dc13330.  A change that moves any byte of these outputs fails here;
-re-record a digest only for an intended output change, and say so.
+dc13330.  The `verify W` digests of the other thirteen n = 3, 4 session
+weights of the benchmark (perfbench/run.py SESSION_POOL) and the `eval`
+values of a `basis 2,1,0` G function were recorded from commit 0f3d6b2.
+A change that moves any byte of these outputs fails here; re-record a
+digest only for an intended output change, and say so.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -39,6 +43,19 @@ GOLDEN_VERIFY = {
     "2,2,2,0": "38c8f855b19adb48b1151f54d573f2d9da07e41af24247254e23aa572eddb0ee",
     "3,2,1,0": "b6bd7450ea33e02134cfdc2af0ade84ee657d41504bcf75dc9f41dcead70f273",
     "2,1,0,0,0": "dc565fe718383f2f772520949c853756f28563396c2da33d486777618fe191b1",
+    "1,0,0": "39946775a712f4c1f3db7225971da40f6199f463255c618795a420edcddc2d26",
+    "1,1,0": "39946775a712f4c1f3db7225971da40f6199f463255c618795a420edcddc2d26",
+    "2,0,0": "981545ac50f37da4ecacf53b112f6cc8dd4ea0f755da08df72ce74dbda461683",
+    "2,2,0": "981545ac50f37da4ecacf53b112f6cc8dd4ea0f755da08df72ce74dbda461683",
+    "3,0,0": "8647a4ab2e976a1f80009eee3c41098386865fe0eabad9fd7202932d1c82a844",
+    "3,1,0": "05fb1d881552e00f590c75023a5d618450e4069ecbdacc42a184cd1ee6df077d",
+    "3,2,0": "928c6cf04c2e2c6cbdf031227ec2163d2f2d29dd32b9ea9ac5bb175003a5a457",
+    "3,3,0": "8647a4ab2e976a1f80009eee3c41098386865fe0eabad9fd7202932d1c82a844",
+    "4,0,0": "280f03b5654709e4cb02d7c50e2b536d493b10d1928543d4a4b60e30ca2d8ba8",
+    "1,0,0,0": "1c514696ddb8cd5484eacde78be1f8a8057d4ed19f6ba4c97f9e864dfba8b41d",
+    "1,1,0,0": "a7d10d2345ec98681dcd56b9c4c32c1ca8a065aee29e396c220a0f9ea4717345",
+    "1,1,1,0": "1c514696ddb8cd5484eacde78be1f8a8057d4ed19f6ba4c97f9e864dfba8b41d",
+    "2,0,0,0": "38c8f855b19adb48b1151f54d573f2d9da07e41af24247254e23aa572eddb0ee",
 }
 
 GOLDEN_TEXT = {
@@ -79,3 +96,22 @@ def test_other_json_documents_are_byte_identical(command, capsys):
     assert main(command.split() + ["--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OTHER[command]
+
+
+# The G function of diagram ((2,1,0), (1,1), (1)) of `basis 2,1,0`, whose
+# coefficients 1/6, 1/12, -1/12 do not share a denominator.
+GOLDEN_EVAL = {
+    None: "1/6",
+    "[[2, -1, 3], [1, 4, -2], [5, 0, 1]]": "27/4",
+}
+
+
+@pytest.mark.parametrize("matrix", sorted(GOLDEN_EVAL, key=str))
+def test_eval_output_is_byte_identical(matrix, tmp_path, capsys):
+    assert main(["basis", "2,1,0", "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    (entry,) = [e for e in document["entries"] if e["diagram"] == [[2, 1, 0], [1, 1], [1]]]
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"n": 3, "terms": entry["gt_function"]}))
+    assert main(["eval", str(path)] + (["--matrix", matrix] if matrix else [])) == 0
+    assert capsys.readouterr().out == GOLDEN_EVAL[matrix] + "\n"

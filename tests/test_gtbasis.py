@@ -213,6 +213,20 @@ def test_gt_function_highest_is_normalized_highest_vector():
     assert proportional(g, gamma_series(shift.gamma))
 
 
+def test_gt_function_finds_each_entry_by_its_shift_and_rejects_others():
+    """gt_function looks each shift up in the table's positions; representation
+    builds the same G functions, in entry order."""
+    basis, table, polys = representation((2, 1, 0, 0))
+    for idx, entry in enumerate(basis.entries):
+        assert table.positions[entry.shift.gamma] == idx
+        assert gt_function(entry.shift.gamma, basis, table) == polys[idx]
+    outside = basis.entries[0].shift.gamma + basis.entries[0].shift.gamma
+    with pytest.raises(KeyError):
+        gt_function(outside, basis, table)
+    with pytest.raises(TypeError):
+        table.positions[outside] = 0
+
+
 LONG_CHAINS = [(4, 2, 0), (3, 1, 0, 0), (2, 1, 1, 0)]
 
 

@@ -1,5 +1,6 @@
 """Lattice basis, shift vectors, the coset order, and point enumeration."""
 
+import gc
 import itertools
 
 import pytest
@@ -425,6 +426,25 @@ def test_translates_share_one_class_table_entry():
         assert nonneg_points(gamma + vec.v) == nonneg_points(gamma - 2 * vec.v)
         assert len(coset_points(gamma + vec.v)) == len(coset_points(gamma))
     assert lattice._class_table.cache_info().misses == 1
+
+
+def test_point_and_route_searches_leave_no_cyclic_garbage():
+    """The recursive searches of _class_table and r_routes free themselves by
+    reference counting, so a program that makes few container objects between
+    collections (as integer polynomial arithmetic does) does not hold their
+    lists of points and routes until the collector runs."""
+    diagram = GTDiagram(((2, 1, 0, 0), (2, 1, 0), (2, 0), (1,)))
+    gamma = shift_from_diagram(diagram).gamma
+    low = shift_from_diagram(GTDiagram(((2, 1, 0, 0), (1, 1, 0), (1, 1), (1,)))).gamma
+    gc.collect()
+    gc.disable()
+    try:
+        assert lattice._class_table.__wrapped__(4, chi_table(gamma))[0]
+        assert r_routes(gamma, gamma)
+        r_routes(low, gamma)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_class_table_check_fires_on_a_wrong_solver(monkeypatch):

@@ -3,13 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from gtagkz.combinatorics import enumerate_diagrams, highest_diagram
-from gtagkz.gtbasis import build_basis
+from gtagkz.combinatorics import chi_pairs, enumerate_diagrams, highest_diagram
+from gtagkz.gtbasis import BasisEntry, build_basis, weyl_dimension
 from gtagkz.lattice import ExponentVector, lattice_basis, shift_from_diagram
-from gtagkz.operators import agkz_apply, e_action, plucker_generators
+from gtagkz.operators import agkz_apply, e_action, euler_weighted, plucker_generators
 from gtagkz.polyengine import Polynomial, diff_apply, evaluate_minors, pair
 from gtagkz.series import agkz_solution, gamma_series
 from gtagkz import verify
@@ -230,3 +231,55 @@ def test_a_nonzero_plucker_product_fails_both_checks_alike(monkeypatch):
     assert not agkz.passed and agkz.detail == f"{len(entries)} solutions x {k} operators -- FAILED: {failure}"
     assert not plucker.passed and plucker.detail == f"{k} generators, 20 matrices -- FAILED: {failure}"
 
+
+
+# The weights of the benchmark's verify session: every n = 3, 4 top row with
+# last entry 0 and Weyl dimension at most 15.
+SESSION_WEIGHTS = [
+    top
+    for n in (3, 4)
+    for top in itertools.product(range(8, -1, -1), repeat=n)
+    if top[-1] == 0 and top[0] > 0 and list(top) == sorted(top, reverse=True)
+    and weyl_dimension(top) <= 15
+]
+
+
+def homogeneity_operator_failures(ctx):
+    """The failures of gkz-homogeneity in its operator form: the Euler operator
+    of chi_p^q applied to each series against the series scaled by m_{p,q}."""
+    return [
+        (entry.diagram.rows, (p, q))
+        for entry in ctx.basis.entries
+        for p, q in chi_pairs(ctx.n)
+        if euler_weighted(p, q, entry.gamma_poly) != entry.gamma_poly.scale(entry.diagram.m(p, q))
+    ]
+
+
+def test_session_weights_are_the_seventeen():
+    assert len(SESSION_WEIGHTS) == 17
+
+
+@pytest.mark.parametrize("top", SESSION_WEIGHTS)
+def test_gkz_homogeneity_agrees_with_its_operator_form(top):
+    ctx = verify.VerifyContext(top)
+    result = verify.check_gkz_homogeneity(ctx)
+    assert result.passed and result.detail == "all (p, q)"
+    assert homogeneity_operator_failures(ctx) == []
+
+
+def test_gkz_homogeneity_and_its_operator_form_fail_alike_off_class():
+    """One term of one series moved off its class (times A_1): both forms fail
+    on the same (diagram, (p, q)) pairs, and the detail lists them."""
+    entries = list(verify.VerifyContext((4, 2, 0)).basis.entries)
+    idx = next(i for i, e in enumerate(entries) if len(e.gamma_poly.terms) >= 2)
+    entry = entries[idx]
+    terms = list(entry.gamma_poly.terms.items())
+    moved_exponent = terms[0][0] + ExponentVector.unit(3, (1,))
+    moved = Polynomial(3, [(moved_exponent, terms[0][1])] + terms[1:])
+    entries[idx] = BasisEntry(entry.diagram, entry.shift, moved, entry.agkz_poly, entry.witness)
+    ctx = SimpleNamespace(n=3, basis=SimpleNamespace(entries=tuple(entries)))
+    result = verify.check_gkz_homogeneity(ctx)
+    failures = homogeneity_operator_failures(ctx)
+    assert failures and all(rows == entry.diagram.rows for rows, _ in failures)
+    assert not result.passed
+    assert result.detail == "all (p, q)" + verify._failure_note(failures)

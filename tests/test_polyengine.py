@@ -3,11 +3,13 @@
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _linalg
+from _reference import FractionPolynomial
 from gtagkz import polyengine, verify
 from gtagkz.combinatorics import enumerate_subsets
 from gtagkz.gtbasis import build_basis
@@ -287,3 +289,108 @@ def test_json_term_order_deterministic():
     data = poly_to_json(f)
     assert [item["exp"] for item in data] == [{"2,3": 1}, {"1": 1}]
     assert all(isinstance(item["coef"], str) for item in data)
+
+
+# Denominators of the shape the construction makes (factorial products) and
+# a few others, so that merging over an lcm meets both.
+DENOMINATORS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 24, 36, 120, 720, 5040])
+
+
+@st.composite
+def fraction_terms(draw, n, max_terms=6):
+    """Up to max_terms (exponent, Fraction) pairs over n, repeats allowed."""
+    subsets = enumerate_subsets(n)
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        support = draw(st.lists(st.sampled_from(subsets), max_size=3, unique=True))
+        exponent = ExponentVector(n, [(X, draw(st.integers(0, 3))) for X in support])
+        terms.append((exponent, Fraction(draw(st.integers(-30, 30)), draw(DENOMINATORS))))
+    return terms
+
+
+def assert_reduced(poly):
+    """The stored form: nonzero numerators, denominator positive and coprime to
+    them all, 1 for the zero polynomial."""
+    assert poly._den > 0 and 0 not in poly._num.values()
+    assert gcd(poly._den, *poly._num.values()) == 1
+
+
+def assert_matches(poly, reference):
+    assert_reduced(poly)
+    assert dict(poly.terms) == reference.terms
+    assert all(type(c) is Fraction for c in poly.terms.values())
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_engine_matches_a_fraction_per_term_reference(data):
+    n = data.draw(st.integers(3, 4))
+    f_terms, g_terms = data.draw(fraction_terms(n)), data.draw(fraction_terms(n))
+    f, g = Polynomial(n, f_terms), Polynomial(n, g_terms)
+    rf, rg = FractionPolynomial(n, f_terms), FractionPolynomial(n, g_terms)
+    scalar = Fraction(data.draw(st.integers(-12, 12)), data.draw(DENOMINATORS))
+    assert_matches(f, rf)
+    assert_matches(f + g, rf + rg)
+    assert_matches(f - g, rf - rg)
+    assert_matches(-f, -rf)
+    assert_matches(f.scale(scalar), rf.scale(scalar))
+    assert_matches(Polynomial.from_triples(n, f.scaled_triples(scalar)), rf.scale(scalar))
+    assert_matches(f * g, rf * rg)
+    assert_matches(diff_apply(f, g), rf.diff_apply(rg))
+    assert pair(f, g) == rf.pair(rg)
+    assert evaluate_at_ones(f) == rf.evaluate(None)
+    integral = [[data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    rational = [[Fraction(data.draw(st.integers(-6, 6)), data.draw(DENOMINATORS)) for _ in range(n)]
+                for _ in range(n)]
+    for matrix in (integral, rational):
+        values = minor_values(matrix, n)
+        assert evaluate_at_minors(f, values) == rf.evaluate(values)
+    for item, (exponent, coefficient) in zip(
+        poly_to_json(f), sorted(rf.terms.items(), key=lambda t: t[0].sort_key())
+    ):
+        assert item == {"exp": polyengine.exponent_to_json(exponent), "coef": str(coefficient)}
+    assert len(poly_to_json(f)) == len(rf.terms)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_equal_polynomials_built_different_ways_are_equal_and_hash_alike(data):
+    n = data.draw(st.integers(3, 4))
+    terms = data.draw(fraction_terms(n))
+    f = Polynomial(n, terms)
+    triples = [(e, 2 * c.numerator, 2 * c.denominator) for e, c in terms]  # 1/2 as 2/4
+    split = [(e, c / 2) for e, c in terms] * 2  # every term as two halves
+    for other in (Polynomial.from_triples(n, triples), Polynomial(n, split), f + f - f):
+        assert other == f and hash(other) == hash(f)
+        assert_reduced(other)
+    zero = Polynomial.zero(n)
+    for cancelled in (f - f, f + (-f), Polynomial(n, terms + [(e, -c) for e, c in terms])):
+        assert cancelled == zero and hash(cancelled) == hash(zero) and cancelled.is_zero()
+        assert cancelled._den == 1
+
+
+def test_halves_and_quarters_are_one_polynomial():
+    x = ev(3, ((1,), 1))
+    half = Polynomial(3, [(x, Fraction(1, 2))])
+    assert half == Polynomial.from_triples(3, [(x, 2, 4)]) == Polynomial(3, [(x, "2/4")])
+    assert hash(half) == hash(Polynomial.from_triples(3, [(x, 1, 4), (x, 1, 4)]))
+    assert Polynomial.from_triples(3, [(x, 1, 3), (x, -2, 6)]) == Polynomial.zero(3)
+    assert poly_to_json(Polynomial.from_triples(3, [(x, -6, 4)])) == [{"exp": {"1": 1}, "coef": "-3/2"}]
+
+
+def test_triples_get_validated_exponents():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial.from_triples(3, [(ev(3, ((1,), -1)), 1, 2)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Polynomial.from_triples(3, [(ev(4, ((1,), 1)), 1, 2)])
+
+
+def test_terms_is_a_read_only_fraction_view():
+    f = Polynomial(3, [(ev(3, ((1,), 1)), Fraction(1, 2)), (ev(3, ((2,), 2)), 3)])
+    view = f.terms
+    assert len(view) == 2 and ev(3, ((1,), 1)) in view and ev(3, ((3,), 1)) not in view
+    assert view[ev(3, ((2,), 2))] == 3 and type(view[ev(3, ((2,), 2))]) is Fraction
+    with pytest.raises(TypeError):
+        view[ev(3, ((1,), 1))] = Fraction(1)
+    with pytest.raises(AttributeError):
+        f.n = 4
