@@ -339,7 +339,7 @@ class AmbiguousMinimumError(ValueError):
 
 
 def _window_defect(gamma: ExponentVector, delta: ExponentVector):
-    """Unit-window amounts carrying the class of gamma up to that of delta, or None.
+    """The _unit_windows amounts carrying the class of gamma up to that of delta, or None.
 
     The amount on the window (p, q, q+1) is the prefix sum over levels
     p' <= p of chi_{p'}^q(gamma) - chi_{p'}^q(delta), for p < q < n; the
@@ -350,7 +350,7 @@ def _window_defect(gamma: ExponentVector, delta: ExponentVector):
         raise ValueError("dimension mismatch")
     n = gamma.n
     prefixes = [0] * (n + 1)  # prefixes[q]: the sum over levels p' <= p so far
-    defect = {}
+    defect = []
     for (p, q), g, d in zip(chi_pairs(n), chi_table(gamma), chi_table(delta)):
         prefixes[q] += g - d
         prefix = prefixes[q]
@@ -360,8 +360,14 @@ def _window_defect(gamma: ExponentVector, delta: ExponentVector):
         elif prefix < 0:
             return None
         else:
-            defect[(p, q)] = prefix
-    return defect
+            defect.append(prefix)
+    return tuple(defect)
+
+
+@lru_cache(maxsize=None)
+def _unit_windows(n: int):
+    """The unit windows (p, q), p < q < n, in the chi_pairs order of _window_defect."""
+    return tuple((p, q) for p, q in chi_pairs(n) if p < q < n)
 
 
 def coset_leq(gamma: ExponentVector, delta: ExponentVector):
@@ -376,7 +382,7 @@ def coset_leq(gamma: ExponentVector, delta: ExponentVector):
     n = gamma.n
     index = _basis_index(n)
     witness = [0] * len(lattice_basis(n))
-    for (p, q), amount in defect.items():
+    for (p, q), amount in zip(_unit_windows(n), defect):
         witness[index[(p, q, q + 1, ())]] = amount
     s = tuple(witness)
     moved = list(chi_table(gamma))  # chi(gamma + s.r), chi being linear
@@ -400,36 +406,7 @@ def r_routes(gamma: ExponentVector, delta: ExponentVector):
     defect = _window_defect(gamma, delta)
     if defect is None:
         return []
-    n = gamma.n
-    basis = lattice_basis(n)
-    order = sorted(range(len(basis)), key=lambda a: (basis[a].i, basis[a].j, basis[a].x))
-    routes = []
-    current = [0] * len(basis)
-
-    def search(position):
-        if position == len(order):
-            routes.append(tuple(current))
-            return
-        alpha = order[position]
-        vec = basis[alpha]
-        windows = [(vec.i, q) for q in range(vec.j, vec.x)]
-        limit = min(defect[w] for w in windows)
-        # (i, j, n, ()) is the last direction to cover window (i, j): it takes the rest
-        counts = [defect[(vec.i, vec.j)]] if vec.x == n else range(limit + 1)
-        for count in counts:
-            if count > limit:
-                break
-            current[alpha] = count
-            for w in windows:
-                defect[w] -= count
-            search(position + 1)
-            for w in windows:
-                defect[w] += count
-        current[alpha] = 0
-
-    search(0)
-    del search  # it refers to itself: free the cycle, and routes, without the collector
-    return sorted(routes)
+    return sorted(_exact_sums(_route_plan(gamma.n), defect))
 
 
 def comparability_components(shifts):
@@ -497,26 +474,72 @@ def canonical_shift_table(diagrams):
     return result
 
 
+def _plan(slots, counted, targets):
+    """The steps (slot, counted, closes) of _exact_sums: closes is the one target
+    that step is the last to count, or None; every target closes."""
+    last = {c: step for step, indices in enumerate(counted) for c in indices}
+    closing = {step: c for c, step in last.items()}
+    assert len(closing) == targets  # no step closes two targets
+    return tuple(zip(slots, counted, map(closing.get, range(len(counted)))))
+
+
 @lru_cache(maxsize=None)
 def _search_plan(n: int):
-    """Coordinate order of the point search with, per step, its dense position,
-    the chi_pairs indices counting its subset, and the one it is the last to
-    count (or None).
-
-    Subsets come largest first, colexicographic within a size: the full set is
-    the only one counted by chi_n^n, and chi_p^q is last counted by {q-p+1..q},
-    so every functional closes at its own step and forces that coordinate.
-    """
+    """Steps of the point search: subsets largest first, colexicographic within
+    a size, at their dense positions, counting their chi_pairs indices; chi_p^q
+    is last counted by {q-p+1..q}, so each closes at its own step."""
     positions = subset_position(n)
     order = sorted(enumerate_subsets(n), key=lambda X: (-len(X), X[::-1]))
-    incidence = [_chi_incidence(n)[X] for X in order]
-    last = {c: step for step, counted in enumerate(incidence) for c in counted}
-    closing = {step: c for c, step in last.items()}
-    assert len(closing) == len(chi_pairs(n))  # no step closes two functionals
-    return tuple(
-        (positions[X], counted, closing.get(step))
-        for step, (X, counted) in enumerate(zip(order, incidence))
-    )
+    counted = [_chi_incidence(n)[X] for X in order]
+    return _plan([positions[X] for X in order], counted, len(chi_pairs(n)))
+
+
+@lru_cache(maxsize=None)
+def _route_plan(n: int):
+    """Steps of the route search: r directions in (i, j, x) order, at their basis
+    indices, counting the _unit_windows (i, q), j <= q < x, they move; (i, j, n,
+    ()) is the last to move window (i, j), so it closes it."""
+    basis = lattice_basis(n)
+    window = {w: c for c, w in enumerate(_unit_windows(n))}
+    order = sorted(range(len(basis)), key=lambda a: (basis[a].i, basis[a].j, basis[a].x))
+    counted = [tuple(window[(basis[a].i, q)] for q in range(basis[a].j, basis[a].x)) for a in order]
+    return _plan(order, counted, len(window))
+
+
+def _exact_sums(steps, target):
+    """Every y >= 0 using up target exactly along the steps, as tuples indexed by
+    slot, unordered: step (slot, counted, closes) sets y[slot] to at most what
+    remains of each target it counts, and to all that remains of closes, the
+    target it is the last to count.  A loop: plans run to 4,095 steps at n = 12.
+    """
+    y, remaining, found = [0] * len(steps), list(target), []
+    depth = 0
+    while depth >= 0:
+        if depth == len(steps):
+            found.append(tuple(y))
+        else:  # take the most the step can
+            slot, counted, closes = steps[depth]
+            value = min(remaining[c] for c in counted)
+            if closes is None or remaining[closes] == value:
+                y[slot] = value
+                for c in counted:
+                    remaining[c] -= value
+                depth += 1
+                continue
+        depth -= 1  # back up to the deepest step that can take one less
+        while depth >= 0:
+            slot, counted, closes = steps[depth]
+            if closes is None and y[slot]:
+                y[slot] -= 1
+                for c in counted:
+                    remaining[c] += 1
+                depth += 1
+                break
+            for c in counted:
+                remaining[c] += y[slot]
+            y[slot] = 0
+            depth -= 1
+    return found
 
 
 # Bounded memo size.  The class table is read once per series call and holds
@@ -535,37 +558,13 @@ def _class_table(n: int, target: tuple):
     every point, asserted to be shared (None for a class without points); T
     and R come from _linear_maps.
 
-    A depth-first search over the coordinates, largest subset first, with what
-    remains of every chi constraint bounding each coordinate and forcing it
-    where that constraint closes.
+    The points are the exact sums of _search_plan: what remains of every chi
+    constraint bounds each coordinate and forces it where that constraint
+    closes.
     """
     if any(value < 0 for value in target):
         return (), None
-    plan = _search_plan(n)
-    points = []
-    values = [0] * len(plan)
-    residual = list(target)
-
-    def search(step):
-        if step == len(plan):
-            points.append(tuple(values))
-            return
-        position, counted, closes = plan[step]
-        bound = min(residual[c] for c in counted)
-        if closes is None:
-            candidates = range(bound + 1)
-        else:
-            candidates = (bound,) if residual[closes] == bound else ()
-        for value in candidates:
-            values[position] = value
-            for c in counted:
-                residual[c] -= value
-            search(step + 1)
-            for c in counted:
-                residual[c] += value
-
-    search(0)
-    del search  # it refers to itself: free the cycle, and points, without the collector
+    points = _exact_sums(_search_plan(n), target)
     subsets = enumerate_subsets(n)
     triples, shared = [], None
     for point in sorted(points):

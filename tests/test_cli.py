@@ -301,6 +301,15 @@ def test_diagrams_is_not_limited_in_n(capsys):
     assert json.loads(out)["count"] == MAX_N + 1
 
 
+@pytest.mark.parametrize("weight, dimension", [("0,0,0,0,0,0,0,0,0,0", 1), ("1,0,0,0,0,0,0,0,0,0", 10)])
+def test_basis_builds_at_n_10(weight, dimension, capsys):
+    """The point search walks 1,023 coordinates and the route search 968
+    directions at n = 10, past Python's default recursion limit of 1,000."""
+    code, out, _ = run(capsys, "basis", weight, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dimension"] == dimension
+
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()

@@ -11,6 +11,10 @@ f9f44a2, and the `basis W --format text` digests from commit cc7067b.  The
 dc13330.  The `verify W` digests of the other thirteen n = 3, 4 session
 weights of the benchmark (perfbench/run.py SESSION_POOL) and the `eval`
 values of a `basis 2,1,0` G function were recorded from commit 0f3d6b2.
+The n = 10 weight 1,0,0,0,0,0,0,0,0,0 was recorded from the commit that made
+the point and route searches of `lattice` one loop (`lattice._exact_sums`),
+the first that builds a basis at n = 10; its parent 41a75ec, run with the
+recursion limit raised, printed the same bytes.
 A change that moves any byte of these outputs fails here; re-record a
 digest only for an intended output change, and say so.
 """
@@ -34,6 +38,7 @@ GOLDEN = {
     "2,1,0,0,0": "2801d4951088622798eb5482eaa506e954daf7494a086e21ee5b13cd85ec90ca",
     "2,1,1,0,0,0": "a19b160b1a18ad92102e6a1e5614462fe2bf113804e6d965196aff5f78d0cc2d",
     "2,1,0,0,0,0,0": "7825e3c95c02e406dfe07ab242248cb1b8003d709f16702d21ed810fe9e6bc86",
+    "1,0,0,0,0,0,0,0,0,0": "f413e831b30dfc301cf33e37a0d07b39b446229b40380a77651df985d68b4ae0",
 }
 
 GOLDEN_VERIFY = {

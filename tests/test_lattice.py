@@ -429,10 +429,11 @@ def test_translates_share_one_class_table_entry():
 
 
 def test_point_and_route_searches_leave_no_cyclic_garbage():
-    """The recursive searches of _class_table and r_routes free themselves by
-    reference counting, so a program that makes few container objects between
-    collections (as integer polynomial arithmetic does) does not hold their
-    lists of points and routes until the collector runs."""
+    """The searches of _class_table and r_routes are one loop, not closures that
+    refer to themselves, so they leave no reference cycle: a program that makes
+    few container objects between collections (as integer polynomial
+    arithmetic does) does not hold their lists of points and routes until the
+    collector runs."""
     diagram = GTDiagram(((2, 1, 0, 0), (2, 1, 0), (2, 0), (1,)))
     gamma = shift_from_diagram(diagram).gamma
     low = shift_from_diagram(GTDiagram(((2, 1, 0, 0), (1, 1, 0), (1, 1), (1,)))).gamma
@@ -588,6 +589,17 @@ def test_r_routes_multiplicity_on_gl4():
     shift_high = next(s for s, _ in table if s.diagram == high)
     routes = r_routes(shift_low.gamma, shift_high.gamma)
     assert sorted(routes) == [(0, 0, 1, 1, 0), (0, 1, 0, 0, 0), (1, 0, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_route_plan_closes_each_window_at_its_last_direction(n):
+    """Window (i, j) is closed by direction (i, j, n, ()), the last in (i, j, x)
+    order to move it, and no direction closes two windows."""
+    basis = lattice_basis(n)
+    windows = lattice._unit_windows(n)
+    closed = [(windows[closes], basis[slot]) for slot, _, closes in lattice._route_plan(n) if closes is not None]
+    assert sorted(window for window, _ in closed) == sorted(windows)
+    assert all((vec.i, vec.j, vec.x, vec.X) == (i, j, n, ()) for (i, j), vec in closed)
 
 
 def test_degenerate_small_n():
