@@ -21,7 +21,7 @@ from .lattice import (
     ExponentVector,
     ShiftVector,
     canonical_shift_table,
-    coset_leq,
+    class_order,
     lattice_basis,
     nonneg_points,
     r_shift,
@@ -55,7 +55,7 @@ class BasisEntry(ValueRecord):
         shift: ShiftVector,
         gamma_poly: Polynomial,
         agkz_poly: Polynomial,
-        witness: tuple,  # r-combination from the component minimum
+        witness: tuple,  # r-combination from the minimal diagram below
     ):
         self._fill(diagram, shift, gamma_poly, agkz_poly, witness)
 
@@ -155,9 +155,9 @@ class CoefficientTable:
     such parallel routes exist (possible from n = 4 on) the closed form
     misses their cross terms, so S is always built from the exact pairings.
 
-    All five tables (C, C_exact, S, lowers, the (jdx, l) pairs below each
-    entry, and positions, each entry's index by its shift vector) are
-    read-only mappings once the table is built.
+    All five tables (C, C_exact, S, lowers, the class_order pairs (jdx, l)
+    below each entry, and positions, each entry's index by its shift vector)
+    are read-only mappings once the table is built.
 
     S[(idx, l)] is the coefficient of the solution at gap l below entry idx
     in its Gelfand-Tsetlin function G: exact Gram-Schmidt of F over the
@@ -171,26 +171,15 @@ class CoefficientTable:
         self.C = {}
         self.C_exact = {}
         self.S = {}
-        self.lowers = {}
+        self.lowers = dict(enumerate(class_order([entry.shift for entry in basis.entries])))
         self.positions = {}
         for idx, entry in enumerate(basis.entries):
             self.positions.setdefault(entry.shift.gamma, idx)
-        n = basis.n
-        zero = (0,) * len(lattice_basis(n))
-        weights = [entry.diagram.weight() for entry in basis.entries]
-        same_weight = {}
-        for jdx, weight in enumerate(weights):
-            same_weight.setdefault(weight, []).append(jdx)
+        zero = (0,) * len(lattice_basis(basis.n))
         for idx, entry in enumerate(basis.entries):
-            lowers = []
-            for jdx in same_weight[weights[idx]]:
-                other = basis.entries[jdx]
-                l = coset_leq(other.shift.gamma, entry.shift.gamma)
-                if l is not None:
-                    lowers.append((jdx, l))
-                    self.C[(idx, l)] = coeff_C(entry.shift.gamma, l)
-                    self.C_exact[(idx, l)] = pair(entry.agkz_poly, other.agkz_poly)
-            self.lowers[idx] = tuple(lowers)
+            for jdx, l in self.lowers[idx]:
+                self.C[(idx, l)] = coeff_C(entry.shift.gamma, l)
+                self.C_exact[(idx, l)] = pair(entry.agkz_poly, basis.entries[jdx].agkz_poly)
             if self.C_exact[(idx, zero)] == 0:
                 raise DegenerateMetricError(
                     f"zero diagonal coefficient at diagram {entry.diagram.rows}"

@@ -335,7 +335,7 @@ def shift_from_diagram(d: GTDiagram) -> ShiftVector:
 
 
 class AmbiguousMinimumError(ValueError):
-    """A comparability component has no unique minimal diagram."""
+    """A diagram lies above no or several minimal diagrams of its weight."""
 
 
 def _window_defect(gamma: ExponentVector, delta: ExponentVector):
@@ -409,68 +409,48 @@ def r_routes(gamma: ExponentVector, delta: ExponentVector):
     return sorted(_exact_sums(_route_plan(gamma.n), defect))
 
 
-def comparability_components(shifts):
-    """Partition shift vectors into connected components of the order.
+def class_order(shifts):
+    """Per index, the pairs (jdx, l) with l = coset_leq(shifts[jdx].gamma,
+    shifts[idx].gamma) not None, in index order, the index's own pair included.
 
     Comparable classes have equal weight (the window defect is None across
     weights), so only shifts of one diagram weight are compared.
     """
-    count = len(shifts)
-    parent = list(range(count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    weights = [shift.diagram.weight() for shift in shifts]
     same_weight = {}
-    for a, shift in enumerate(shifts):
-        same_weight.setdefault(shift.diagram.weight(), []).append(a)
-    related = [[False] * count for _ in range(count)]
-    for group in same_weight.values():
-        for a in group:
-            for b in group:
-                if a != b and _window_defect(shifts[a].gamma, shifts[b].gamma) is not None:
-                    related[a][b] = True
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-    components = {}
-    for a in range(count):
-        components.setdefault(find(a), []).append(a)
-    return list(components.values()), related
+    for jdx, weight in enumerate(weights):
+        same_weight.setdefault(weight, []).append(jdx)
+    order = []
+    for shift, weight in zip(shifts, weights):
+        pairs = ((jdx, coset_leq(shifts[jdx].gamma, shift.gamma)) for jdx in same_weight[weight])
+        order.append(tuple((jdx, l) for jdx, l in pairs if l is not None))
+    return order
 
 
 def canonical_shift_table(diagrams):
-    """Coherent shifts plus their witnesses from the component minima.
+    """Coherent shifts plus their witnesses from the minimal diagrams.
 
-    Within each comparability component the unique minimal diagram keeps its
-    staircase shift; every other member gets the minimum's shift plus the
-    witness combination of r vectors, so comparable diagrams differ exactly
-    (not only mod B) by a nonnegative combination of r's.
+    Every diagram must lie above exactly one minimal diagram of its weight,
+    its bottom: that bottom keeps its staircase shift, and the diagram gets
+    the bottom's shift plus the witness combination of r vectors, so
+    comparable diagrams differ exactly (not only mod B) by a nonnegative
+    combination of r's.  A diagram above no or several minimal diagrams of
+    its weight raises AmbiguousMinimumError.
     """
     diagrams = list(diagrams)
     base = [shift_from_diagram(d) for d in diagrams]
     n = diagrams[0].n if diagrams else 0
-    components, related = comparability_components(base)
-    result = [None] * len(diagrams)
-    for members in components:
-        minima = [a for a in members if not any(related[b][a] for b in members if b != a)]
-        if len(minima) != 1:
+    order = class_order(base)
+    result = []
+    for diagram, pairs in zip(diagrams, order):
+        bottoms = [(b, l) for b, l in pairs if len(order[b]) == 1]
+        if len(bottoms) != 1:
             raise AmbiguousMinimumError(
-                f"component {[diagrams[a].rows for a in members]} has minima "
-                f"{[diagrams[a].rows for a in minima]}"
+                f"diagram {diagram.rows} lies above the minimal diagrams "
+                f"{[diagrams[b].rows for b, _ in bottoms]} of its weight"
             )
-        bottom = minima[0]
-        for a in members:
-            witness = coset_leq(base[bottom].gamma, base[a].gamma)
-            if witness is None:
-                raise AmbiguousMinimumError(
-                    f"minimum {diagrams[bottom].rows} is not below {diagrams[a].rows}"
-                )
-            shift = ShiftVector(base[bottom].gamma + r_shift(n, witness), diagrams[a])
-            result[a] = (shift, witness)
+        ((bottom, witness),) = bottoms
+        result.append((ShiftVector(base[bottom].gamma + r_shift(n, witness), diagram), witness))
     return result
 
 
@@ -624,22 +604,37 @@ def _nonzero(values):
 @lru_cache(maxsize=None)
 def _column_table(n: int):
     """Map subset X -> the nonzero (b, T_b) and (position, R) of the unit vector
-    e_X: its lattice coordinates T(e_X) by back-substitution, and its residual
-    R(e_X) = e_X - T(e_X).v, zero at every pivot.
+    e_X: its lattice coordinates T(e_X) and its residual R(e_X) = e_X -
+    T(e_X).v, zero at every pivot.
+
+    T_b is linear, so one pass down the steps of _coordinate_solver gives it
+    for every X at once: its row over the positions is e_pivot minus
+    value * (row of c) over the step's needs (c, value).
 
     Two vectors differ by a lattice vector exactly when their residuals agree,
     and then by the difference of their coordinates.
     """
-    directions = [vec.v for vec in lattice_basis(n)]
-    steps = _coordinate_solver(n)
+    basis = lattice_basis(n)
     positions = subset_position(n)
+    rows = [None] * len(basis)
+    for b, pivot, needs in _coordinate_solver(n):
+        row = {pivot: 1}
+        for c, value in needs:
+            for position, entry in rows[c].items():
+                row[position] = row.get(position, 0) - value * entry
+        rows[b] = row
+    coordinates = [[] for _ in positions]  # per position, the nonzero (b, T_b(e_X))
+    for b, row in enumerate(rows):
+        for position, entry in row.items():
+            if entry:
+                coordinates[position].append((b, entry))
     columns = {}
     for X, position in positions.items():
-        t = [0] * len(directions)
-        for b, pivot, needs in steps:
-            t[b] = (pivot == position) - sum(t[c] * value for c, value in needs)
-        residual = ExponentVector.unit(n, X) - combine(directions, t, n)
-        columns[X] = (_nonzero(t), tuple((positions[Y], value) for Y, value in residual.items()))
+        residual = {position: 1}
+        for b, t_b in coordinates[position]:
+            for Y, value in basis[b].v.items():
+                residual[positions[Y]] = residual.get(positions[Y], 0) - t_b * value
+        columns[X] = (tuple(coordinates[position]), tuple(sorted((p, v) for p, v in residual.items() if v)))
     return columns
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,12 +19,13 @@ from gtagkz.combinatorics import (
     subset_position,
 )
 from gtagkz.lattice import (
+    AmbiguousMinimumError,
     ExponentVector,
     LatticeBasisVector,
     canonical_shift_table,
     chi_table,
     combine,
-    comparability_components,
+    class_order,
     coset_leq,
     in_lattice,
     lattice_basis,
@@ -305,7 +307,7 @@ def test_coset_points_check_fires_on_a_wrong_solver(monkeypatch):
         lattice._class_table.cache_clear()
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(3, 10))
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_lattice_coordinates_round_trip(n, data):
@@ -554,14 +556,15 @@ LADDER = [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0), (2, 1, 0, 0), (2, 2, 1, 0)
 
 @pytest.mark.parametrize("top", LADDER)
 def test_comparability_components_match_all_pairs(top):
-    """Comparing only shifts of equal weight finds every relation the all-pairs scan finds."""
-    shifts = [shift_from_diagram(d) for d in enumerate_diagrams(top)]
+    """class_order, comparing only shifts of equal weight, finds every pair the
+    all-pairs scan finds, and canonical_shift_table builds each diagram from the
+    unique minimum of its comparability component."""
+    diagrams = enumerate_diagrams(top)
+    shifts = [shift_from_diagram(d) for d in diagrams]
     count = len(shifts)
-    related = [
-        [a != b and coset_leq(shifts[a].gamma, shifts[b].gamma) is not None
-         for b in range(count)]
-        for a in range(count)
-    ]
+    # leq[a][b]: the witness of b below a over all pairs, or None
+    leq = [[coset_leq(low.gamma, high.gamma) for low in shifts] for high in shifts]
+    assert class_order(shifts) == [tuple((b, l) for b, l in enumerate(row) if l is not None) for row in leq]
     # components: closure of the relation in both directions
     component = list(range(count))
     changed = True
@@ -569,15 +572,27 @@ def test_comparability_components_match_all_pairs(top):
         changed = False
         for a in range(count):
             for b in range(count):
-                if (related[a][b] or related[b][a]) and component[a] != component[b]:
+                if (leq[a][b] is not None or leq[b][a] is not None) and component[a] != component[b]:
                     component[a] = component[b] = min(component[a], component[b])
                     changed = True
-    expected = {}
-    for a in range(count):
-        expected.setdefault(component[a], []).append(a)
-    components, got = comparability_components(shifts)
-    assert got == related
-    assert sorted(components) == sorted(expected.values())
+    minima = [a for a in range(count) if all(leq[a][b] is None for b in range(count) if b != a)]
+    for a, (shift, witness) in enumerate(canonical_shift_table(diagrams)):
+        (bottom,) = [b for b in minima if component[b] == component[a]]
+        assert witness == leq[a][bottom]
+        assert shift.gamma == shifts[bottom].gamma + r_shift(len(top), witness)
+
+
+def test_canonical_shift_table_refuses_a_diagram_above_two_minima():
+    """Without ((3,2,1,0),(3,1,0),(2,0),(1,)), the diagram
+    ((3,2,1,0),(2,1,1),(1,1),(1,)) of weight (1,1,2,2) lies above two minimal
+    diagrams of its weight."""
+    diagrams = enumerate_diagrams((3, 2, 1, 0))
+    dropped = GTDiagram(((3, 2, 1, 0), (3, 1, 0), (2, 0), (1,)))
+    above = GTDiagram(((3, 2, 1, 0), (2, 1, 1), (1, 1), (1,)))
+    assert len(diagrams) == 64 and dropped in diagrams and above.weight() == (1, 1, 2, 2)
+    kept = [d for d in diagrams if d != dropped]
+    with pytest.raises(AmbiguousMinimumError, match=re.escape(f"diagram {above.rows} lies above")):
+        canonical_shift_table(kept)
 
 
 def test_r_routes_multiplicity_on_gl4():
