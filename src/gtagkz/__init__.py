@@ -20,7 +20,6 @@ from .gtbasis import (
     RepresentationBasis,
     build_basis,
     canonical_form,
-    coeff_C,
     coeff_C_alt,
     gram_matrix,
     gt_function,

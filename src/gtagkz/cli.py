@@ -13,17 +13,19 @@ import re
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .combinatorics import enumerate_diagrams, normalize_weight
 from .gtbasis import build_basis, gram_matrix, representation, weyl_dimension
 from .lattice import in_lattice, lattice_basis, lattice_rank
 from .polyengine import (
+    Polynomial,
+    _fraction_str,
     evaluate_at_ones,
     evaluate_minors,
     exponent_to_json,
     pair,
     poly_from_json,
-    poly_to_json,
     subset_to_str,
 )
 
@@ -64,20 +66,24 @@ def _check_n(n):
 
 def _to_json(value):
     """Exactly json.dumps(value, indent=2), for documents built from str-keyed
-    dicts, lists, str, int, bool and None; anything else (a float, a non-str
-    key) raises TypeError.
+    dicts, lists, str, int, bool and None, with a Polynomial standing for its
+    poly_to_json list; anything else (a float, a non-str key) raises
+    TypeError.
 
     With indent set, json.dumps runs the standard library's pure-Python
     encoder.  This writer emits the same layout (two spaces per level, ","
     at line ends, ": " after keys), escapes strings with the C
     encode_basestring_ascii and joins each container's items once, at under
-    half the cost on a basis document.
+    half the cost on a basis document.  A polynomial is written from its
+    numerators, with no dict per term, and each distinct exponent's sort key
+    and text are made once per document.
     """
-    return _json_text(value, "\n")
+    return _json_text(value, "\n", {})
 
 
-def _json_text(value, newline):
-    """The text of value whose lines, after its first, start with newline."""
+def _json_text(value, newline, exponents):
+    """The text of value whose lines, after its first, start with newline;
+    exponents holds the exponent texts of the document (see _polynomial_text)."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -102,15 +108,49 @@ def _json_text(value, newline):
             elif kind is str:
                 text = encode_basestring_ascii(item)
             else:
-                text = _json_text(item, inner)
+                text = _json_text(item, inner, exponents)
             items.append(encode_basestring_ascii(key) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, list):
         if not value:
             return "[]"
-        items = [_json_text(item, inner) for item in value]
+        items = [  # plain ints, as in rows, weights and gaps, inline
+            int.__repr__(item) if type(item) is int else _json_text(item, inner, exponents)
+            for item in value
+        ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, Polynomial):
+        return _polynomial_text(value, newline, exponents)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _polynomial_text(poly, newline, exponents):
+    """The text of poly_to_json(poly) whose lines, after its first, start with
+    newline.
+
+    exponents maps the indentation of the "exp" objects to a map from each
+    exponent written so far to its sort key and the text of its object, so
+    an exponent met again in the document is neither sorted by a new key nor
+    written again.
+    """
+    if poly.is_zero():
+        return "[]"
+    inner = newline + "  "  # the term objects
+    field = inner + "  "  # their "exp" and "coef" lines
+    known = exponents.setdefault(field, {})
+    terms = []
+    for exponent, numerator, denominator in poly.scaled_triples(1):
+        written = known.get(exponent)
+        if written is None:
+            text = _json_text(exponent_to_json(exponent), field, exponents)
+            written = known[exponent] = (exponent.sort_key(), text)
+        terms.append((*written, numerator, denominator))
+    terms.sort(key=itemgetter(0))
+    items = [  # a coefficient's text is digits, "-" and "/", which JSON does not escape
+        f'{{{field}"exp": {text},{field}"coef": "{_fraction_str(numerator, denominator)}"{inner}}}'
+        for _, text, numerator, denominator in terms
+    ]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _emit(text, out_path):
@@ -199,9 +239,9 @@ def _basis_document(top_row):
                 "weight": list(entry.diagram.weight()),
                 "shift": exponent_to_json(entry.shift.gamma),
                 "witness": list(entry.witness),
-                "gamma_series": poly_to_json(entry.gamma_poly),
-                "agkz_solution": poly_to_json(entry.agkz_poly),
-                "gt_function": poly_to_json(gt_polys[idx]),
+                "gamma_series": entry.gamma_poly,
+                "agkz_solution": entry.agkz_poly,
+                "gt_function": gt_polys[idx],
                 "norm_squared": str(pair(gt_polys[idx], gt_polys[idx])),
             }
         )

@@ -4,8 +4,9 @@ The solution polynomials F of the antisymmetrized GKZ system carry the
 invariant pairing; the Gelfand-Tsetlin functions G are obtained by a
 lower-triangular change of basis, computed by exact Gram-Schmidt over the
 down-set of each solution from the pairings of the solutions.  The paper's
-closed-form coefficients, values at A = 1 of the paired hypergeometric series
-(hypergeometric constants), are kept beside the exact pairings as C.
+coefficients, values at A = 1 of the paired hypergeometric series
+(hypergeometric constants), are kept beside the exact pairings as C, summed
+from the parts of the solutions themselves (series.paired_value).
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from .lattice import (
     nonneg_points,
     r_shift,
 )
-from .polyengine import Polynomial, pair, rational_sum
+from .polyengine import Polynomial, pair
 from .series import (
     agkz_solution,
-    f_pair_terms,
     feasible_down_shifts,
     feasible_up_shifts,
     gamma_series,
     j_value,
     multi_factorial,
+    paired_value,
 )
 
 
@@ -95,18 +96,6 @@ def gram_matrix(basis: RepresentationBasis):
     return [[pair(f, g) for g in polys] for f in polys]
 
 
-def coeff_C(delta: ExponentVector, l) -> Fraction:
-    """Orthogonalization coefficient: the paired series at delta - l.r, at A = 1.
-
-    The value at 1 is the coefficient sum, so this sums the integer
-    numerators and denominators of the series' terms as they are generated,
-    over one common denominator, and builds no polynomial.
-    """
-    l = tuple(l)
-    base = delta - r_shift(delta.n, l)
-    return rational_sum((num, den) for _, num, den in f_pair_terms(base, l))
-
-
 @lru_cache(maxsize=None)
 def _pochhammer_expansion(a: int, b: int):
     """Coefficients k_c with (t+1)..(t+a) (t+1)..(t+b) = sum_c k_c (t+1)..(t+c),
@@ -122,12 +111,14 @@ def _pochhammer_expansion(a: int, b: int):
 
 
 def coeff_C_alt(delta: ExponentVector, l) -> Fraction:
-    """The same coefficient through the expansion into plain Horn-type values.
+    """The coefficient C at entry delta and gap l, the paired series at
+    delta - l.r at A = 1, through the expansion into plain Horn-type values.
 
     Expands each doubly weighted term into single Pochhammer series and
-    evaluates those at 1: an independent computational route for coeff_C.
-    The expansion of a term is the product over the directions of their
-    integer expansion tables, so each expanded term carries an integer weight.
+    evaluates those at 1: a computational route independent of the
+    solutions' parts that CoefficientTable sums C from.  The expansion of a
+    term is the product over the directions of their integer expansion
+    tables, so each expanded term carries an integer weight.
     """
     l = tuple(l)
     base = delta - r_shift(delta.n, l)
@@ -149,10 +140,11 @@ def coeff_C_alt(delta: ExponentVector, l) -> Fraction:
 class CoefficientTable:
     """C and S tables over the pairs (entry, lower entry) of one basis.
 
-    C holds the closed-form series values; C_exact holds the pairings of
-    the actual solution polynomials.  The two coincide whenever no two
-    distinct nonnegative r-combinations join the same pair of classes; when
-    such parallel routes exist (possible from n = 4 on) the closed form
+    C holds the paired series values, the pairings of the two solutions'
+    parts along matching routes (series.paired_value); C_exact holds the
+    pairings of the actual solution polynomials.  The two coincide whenever
+    no two distinct nonnegative r-combinations join the same pair of
+    classes; when such parallel routes exist (possible from n = 4 on) C
     misses their cross terms, so S is always built from the exact pairings.
 
     All five tables (C, C_exact, S, lowers, the class_order pairs (jdx, l)
@@ -163,7 +155,7 @@ class CoefficientTable:
     in its Gelfand-Tsetlin function G: exact Gram-Schmidt of F over the
     strict down-set of the entry, scaled so that S[(idx, 0)] = 1 / <F, F>.
     On chains of length at most two this is the first-order inversion
-    -C / (d d') of the closed-form coefficients.
+    -C / (d d') of the paired series values.
     """
 
     def __init__(self, basis: RepresentationBasis):
@@ -178,8 +170,9 @@ class CoefficientTable:
         zero = (0,) * len(lattice_basis(basis.n))
         for idx, entry in enumerate(basis.entries):
             for jdx, l in self.lowers[idx]:
-                self.C[(idx, l)] = coeff_C(entry.shift.gamma, l)
-                self.C_exact[(idx, l)] = pair(entry.agkz_poly, basis.entries[jdx].agkz_poly)
+                lower = basis.entries[jdx]
+                self.C[(idx, l)] = paired_value(entry.shift.gamma, lower.shift.gamma, l)
+                self.C_exact[(idx, l)] = pair(entry.agkz_poly, lower.agkz_poly)
             if self.C_exact[(idx, zero)] == 0:
                 raise DegenerateMetricError(
                     f"zero diagonal coefficient at diagram {entry.diagram.rows}"

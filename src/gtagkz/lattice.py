@@ -11,10 +11,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from types import MappingProxyType
 
 from .combinatorics import (
     GTDiagram,
     ValueRecord,
+    _pattern_rows,
     chi_pairs,
     enumerate_subsets,
     subset_position,
@@ -304,15 +306,24 @@ def r_shift(n, s) -> ExponentVector:
     return combine([b.r for b in lattice_basis(n)], s, n)
 
 
+def _pattern_chi(rows):
+    """The entries m_{p,q} = rows[n - q][p - 1] of a diagram's rows, in
+    chi_pairs order: the chi array of its shifted lattice."""
+    n = len(rows)
+    return tuple(rows[n - q][p - 1] for p, q in chi_pairs(n))
+
+
 class ShiftVector(ValueRecord):
     """An integer solution of chi_p^q(gamma) = m_{p,q} for a diagram."""
 
     __slots__ = ("gamma", "diagram")
 
     def __init__(self, gamma: ExponentVector, diagram: GTDiagram):
-        for (p, q), value in zip(chi_pairs(diagram.n), chi_table(gamma)):
-            if value != diagram.m(p, q):
-                raise ValueError(f"chi_{p}^{q} mismatch for shift vector")
+        wanted = _pattern_chi(diagram.rows)
+        if chi_table(gamma) != wanted:
+            for (p, q), value, m in zip(chi_pairs(diagram.n), chi_table(gamma), wanted):
+                if value != m:
+                    raise ValueError(f"chi_{p}^{q} mismatch for shift vector")
         self._fill(gamma, diagram)
 
 
@@ -323,14 +334,15 @@ def shift_from_diagram(d: GTDiagram) -> ShiftVector:
     m_{p,p} - m_{p+1,n} on {1..p}; a direct telescoping check shows all
     n(n+1)/2 equations hold.
     """
-    n = d.n
+    n, rows = d.n, d.rows
+    m = lambda p, q: rows[n - q][p - 1]
     entries = []
     for p in range(1, n + 1):
-        top_next = d.m(p + 1, n) if p < n else 0
-        entries.append((tuple(range(1, p + 1)), d.m(p, p) - top_next))
+        top_next = m(p + 1, n) if p < n else 0
+        entries.append((tuple(range(1, p + 1)), m(p, p) - top_next))
         for q in range(p + 1, n + 1):
             coordinate = tuple(range(1, p)) + (q,)
-            entries.append((coordinate, d.m(p, q) - d.m(p, q - 1)))
+            entries.append((coordinate, m(p, q) - m(p, q - 1)))
     return ShiftVector(ExponentVector(n, entries), d)
 
 
@@ -338,20 +350,18 @@ class AmbiguousMinimumError(ValueError):
     """A diagram lies above no or several minimal diagrams of its weight."""
 
 
-def _window_defect(gamma: ExponentVector, delta: ExponentVector):
-    """The _unit_windows amounts carrying the class of gamma up to that of delta, or None.
+def _window_defect(n: int, low, high):
+    """The _unit_windows amounts carrying the class of chi array low up to that
+    of chi array high, or None.
 
     The amount on the window (p, q, q+1) is the prefix sum over levels
-    p' <= p of chi_{p'}^q(gamma) - chi_{p'}^q(delta), for p < q < n; the
+    p' <= p of chi_{p'}^q(low) - chi_{p'}^q(high), for p < q < n; the
     classes are comparable iff every amount is >= 0 and the same prefix
     sums vanish at q in {p, n} (equal weight and top row).
     """
-    if gamma.n != delta.n:
-        raise ValueError("dimension mismatch")
-    n = gamma.n
     prefixes = [0] * (n + 1)  # prefixes[q]: the sum over levels p' <= p so far
     defect = []
-    for (p, q), g, d in zip(chi_pairs(n), chi_table(gamma), chi_table(delta)):
+    for (p, q), g, d in zip(chi_pairs(n), low, high):
         prefixes[q] += g - d
         prefix = prefixes[q]
         if q in (p, n):
@@ -370,28 +380,39 @@ def _unit_windows(n: int):
     return tuple((p, q) for p, q in chi_pairs(n) if p < q < n)
 
 
+def _witness(n: int, low, high, defect):
+    """The multi-index placing the window defect of chi arrays low and high on
+    the unit-window vectors (p, q, q+1, empty X), checked to carry low to high."""
+    basis, index = lattice_basis(n), _basis_index(n)
+    witness = [0] * len(basis)
+    moved = list(low)  # chi(low + s.r), chi being linear
+    for (p, q), amount in zip(_unit_windows(n), defect):
+        if amount:
+            b = index[(p, q, q + 1, ())]
+            witness[b] = amount
+            for c, value in enumerate(chi_table(basis[b].r)):
+                moved[c] += amount * value
+    assert tuple(moved) == tuple(high)
+    return tuple(witness)
+
+
 def coset_leq(gamma: ExponentVector, delta: ExponentVector):
     """Witness s >= 0 with gamma + s.r congruent to delta mod B, or None.
 
     The witness places the window defect on the unit-window vectors
     (p, q, q+1, empty X).
     """
-    defect = _window_defect(gamma, delta)
-    if defect is None:
-        return None
-    n = gamma.n
-    index = _basis_index(n)
-    witness = [0] * len(lattice_basis(n))
-    for (p, q), amount in zip(_unit_windows(n), defect):
-        witness[index[(p, q, q + 1, ())]] = amount
-    s = tuple(witness)
-    moved = list(chi_table(gamma))  # chi(gamma + s.r), chi being linear
-    for vec, amount in zip(lattice_basis(n), s):
-        if amount:
-            for c, value in enumerate(chi_table(vec.r)):
-                moved[c] += amount * value
-    assert tuple(moved) == chi_table(delta)
-    return s
+    if gamma.n != delta.n:
+        raise ValueError("dimension mismatch")
+    low, high = chi_table(gamma), chi_table(delta)
+    defect = _window_defect(gamma.n, low, high)
+    return None if defect is None else _witness(gamma.n, low, high, defect)
+
+
+def _route_sums(n: int, low, high):
+    """The routes joining chi arrays low and high (see r_routes), unordered."""
+    defect = _window_defect(n, low, high)
+    return [] if defect is None else _exact_sums(_route_plan(n), defect)
 
 
 def r_routes(gamma: ExponentVector, delta: ExponentVector):
@@ -403,26 +424,107 @@ def r_routes(gamma: ExponentVector, delta: ExponentVector):
     have the same effect: these parallel directions, possible from n = 4 on,
     are why distinct routes can join the same pair of classes.
     """
-    defect = _window_defect(gamma, delta)
-    if defect is None:
-        return []
-    return sorted(_exact_sums(_route_plan(gamma.n), defect))
+    if gamma.n != delta.n:
+        raise ValueError("dimension mismatch")
+    return sorted(_route_sums(gamma.n, chi_table(gamma), chi_table(delta)))
+
+
+def _order_key(gamma: ExponentVector):
+    """(key, chi, full): gamma's full-set count full = chi_n^n(gamma), its chi
+    array lowered by full, and the key (n, top row, row sums) of that array
+    in _weight_order.  r and the full-set unit, whose chi array is all ones,
+    preserve the key, and neither changes the window defect."""
+    n = gamma.n
+    values = chi_table(gamma)
+    full = values[-1]  # chi_pairs ends with (n, n)
+    chi = tuple(value - full for value in values)
+    top, sums = [], [0] * n  # sums[q]: the sum of chi_p^q over p <= q, for q < n
+    for (_, q), value in zip(chi_pairs(n), chi):
+        if q == n:
+            top.append(value)
+        else:
+            sums[q] += value
+    return (n, tuple(top), tuple(sums)), chi, full
+
+
+# Bounded memo size.  A cold (8,4,0) basis asks 375 times for 61 keys; basis
+# plus verify of all 17 n = 3, 4 weights with dimension <= 15 in one process
+# asks 957 times for 200; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0 ask 315
+# and 336 times for 75 and 77.  None of these runs evicts, and a long-lived
+# process holds at most this many entries.
+WEIGHT_ORDER_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=WEIGHT_ORDER_CACHE_SIZE)
+def _weight_order(n: int, top: tuple, sums: tuple):
+    """The classes of chi arrays with full-set count 0, top row top and row
+    sums sums that hold a nonnegative point, and the order among them, as
+    (index, lowers, down, up), every part read-only.
+
+    A class holds one exactly when its chi array is a Gelfand-Tsetlin
+    pattern, so the classes are the patterns under top with those row sums;
+    index maps each one's chi array to its position, in pattern order.  Each
+    ordered pair of classes is compared once: lowers[c] maps every class
+    b <= c to the coset_leq witness from b up to c, and down[c] and up[c]
+    are the sorted r_routes from every class below c and to every class
+    above it.
+    """
+    classes = [_pattern_chi(rows) for rows in _pattern_rows(top, sums)]
+    plan = _route_plan(n)
+    lowers = [{} for _ in classes]
+    down = [[] for _ in classes]
+    up = [[] for _ in classes]
+    for c, high in enumerate(classes):
+        for b, low in enumerate(classes):
+            defect = _window_defect(n, low, high)
+            if defect is not None:
+                lowers[c][b] = _witness(n, low, high, defect)
+                routes = _exact_sums(plan, defect)
+                down[c].extend(routes)
+                up[b].extend(routes)
+    index = MappingProxyType({chi: c for c, chi in enumerate(classes)})
+    down, up = (tuple(tuple(sorted(routes)) for routes in table) for table in (down, up))
+    return index, tuple(map(MappingProxyType, lowers)), down, up
+
+
+def feasible_routes(gamma: ExponentVector, up=False):
+    """All s >= 0 for which gamma - s.r + B (gamma + s.r + B when up)
+    contains a nonnegative point, sorted.
+
+    The r_routes from (to) every class of gamma's top row and weight that
+    holds a nonnegative point: read from _weight_order when gamma's class is
+    one of them, else joined here from gamma's own window defects.
+    """
+    key, chi, full = _order_key(gamma)
+    if full < 0:  # chi_n^n counts the full set alone, so no point is nonnegative
+        return ()
+    index, _, down, above = _weight_order(*key)
+    c = index.get(chi)
+    if c is not None:
+        return (above if up else down)[c]
+    n = gamma.n
+    found = (_route_sums(n, chi, other) if up else _route_sums(n, other, chi) for other in index)
+    return tuple(sorted(s for routes in found for s in routes))
 
 
 def class_order(shifts):
     """Per index, the pairs (jdx, l) with l = coset_leq(shifts[jdx].gamma,
     shifts[idx].gamma) not None, in index order, the index's own pair included.
 
-    Comparable classes have equal weight (the window defect is None across
-    weights), so only shifts of one diagram weight are compared.
+    Read from _weight_order: comparable classes share top row and weight, so
+    only shifts of one key are compared, and that entry compared their
+    classes once.
     """
-    weights = [shift.diagram.weight() for shift in shifts]
-    same_weight = {}
-    for jdx, weight in enumerate(weights):
-        same_weight.setdefault(weight, []).append(jdx)
+    located = []  # per shift, (its key, the lowers of that key, its class's position)
+    same_key = {}
+    for jdx, shift in enumerate(shifts):
+        key, chi, _ = _order_key(shift.gamma)
+        index, lowers, _, _ = _weight_order(*key)
+        located.append((key, lowers, index[chi]))
+        same_key.setdefault(key, []).append(jdx)
     order = []
-    for shift, weight in zip(shifts, weights):
-        pairs = ((jdx, coset_leq(shifts[jdx].gamma, shift.gamma)) for jdx in same_weight[weight])
+    for key, lowers, c in located:
+        pairs = ((jdx, lowers[c].get(located[jdx][2])) for jdx in same_key[key])
         order.append(tuple((jdx, l) for jdx, l in pairs if l is not None))
     return order
 
@@ -661,11 +763,23 @@ def _kept_maps(v: ExponentVector):
 def _r_directions(n: int):
     """Per r direction r_a, its nonzero (c, chi_c(r_a)), (b, T_b(r_a)) and
     (position, R(r_a)[position]); chi, T and R are linear, so these give them
-    at gamma - s.r from gamma's without building the vector."""
-    return tuple(
-        tuple(_nonzero(values) for values in (chi_table(vec.r), *_linear_maps(n, vec.r.items())))
-        for vec in lattice_basis(n)
-    )
+    at gamma - s.r from gamma's without building the vector.
+
+    T and R of r_a are the sparse columns of _column_table summed over r_a's
+    four entries, never densified: at n = 12 a dense T and R hold 4,017 and
+    4,095 entries per direction.
+    """
+    columns = _column_table(n)
+    directions = []
+    for vec in lattice_basis(n):
+        sums = ({}, {})
+        for X, value in vec.r.items():
+            for total, column in zip(sums, columns[X]):
+                for index, entry in column:
+                    total[index] = total.get(index, 0) + value * entry
+        maps = (tuple(sorted((index, v) for index, v in total.items() if v)) for total in sums)
+        directions.append((_nonzero(chi_table(vec.r)), *maps))
+    return tuple(directions)
 
 
 def _class_entry(gamma: ExponentVector, down=None):

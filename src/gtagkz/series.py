@@ -12,16 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from types import MappingProxyType
 
-from .combinatorics import GTDiagram, _pattern_rows, chi_pairs
 from .lattice import (
     ExponentVector,
     _class_entry,
-    chi_table,
+    feasible_routes,
     lattice_basis,
     multi_factorial,
-    r_routes,
-    shift_from_diagram,
 )
 from .polyengine import Polynomial, rational_sum
 
@@ -45,9 +43,11 @@ def _multi_index(n: int, s) -> tuple:
     return s
 
 
-def _horn_terms(vector: ExponentVector, *indices, down=None):
-    """The Horn-type series at vector - down.r as integers (x, weight, x!),
-    coefficient weight / x!, one per coset point of nonzero weight.
+def _horn_weights(vector: ExponentVector, *indices, down=None):
+    """The Horn-type series at vector - down.r as (triples, weights): the
+    class-table triples (x, T(x), x!) of its coset points and, aligned with
+    them, the integer weights, coefficient weight / x!, zero where a rising
+    factor vanishes.
 
     The weight is the product over the multi-indices s of (t+1)...(t+s) per
     lattice direction, with t = T(x) - T(vector - down.r) the point's lattice
@@ -60,21 +60,21 @@ def _horn_terms(vector: ExponentVector, *indices, down=None):
         s = _multi_index(vector.n, s)
         factors.extend(zip(compress(range(len(s)), s), filter(None, s)))
     triples, origin = _class_entry(vector, down)
-    for x, tx, x_factorial in triples:
+    weights = []
+    for _, tx, _ in triples:
         weight = 1
         for b, part in factors:
             weight *= rising(tx[b] - origin[b], part)
             if weight == 0:
                 break
-        if weight:
-            yield x, weight, x_factorial
+        weights.append(weight)
+    return triples, tuple(weights)
 
 
 def gamma_series(gamma: ExponentVector) -> Polynomial:
     """Sum of A^x / x! over the nonnegative points of gamma + B."""
-    return Polynomial.from_triples(
-        gamma.n, ((x, 1, x_factorial) for x, _, x_factorial in _horn_terms(gamma))
-    )
+    triples, _ = _class_entry(gamma)
+    return Polynomial.from_triples(gamma.n, ((x, 1, x_factorial) for x, _, x_factorial in triples))
 
 
 def j_value(gamma: ExponentVector, s, down=None) -> Fraction:
@@ -86,63 +86,18 @@ def j_value(gamma: ExponentVector, s, down=None) -> Fraction:
     class mod B.  Sums the integer terms over one common denominator; builds
     neither a polynomial nor the representative (see lattice._class_entry).
     """
-    terms = _horn_terms(gamma, s, down=down)
-    return rational_sum((weight, x_factorial) for _, weight, x_factorial in terms)
+    terms = zip(*_horn_weights(gamma, s, down=down))
+    return rational_sum((weight, x_factorial) for (_, _, x_factorial), weight in terms if weight)
 
 
-# Bounded memo size.  A cold (8,4,0) basis asks 125 times for the patterns of
-# 61 keys; basis plus verify of all 17 n = 3, 4 weights with dimension <= 15
-# in one process asks 387 times for 200; cold basis 2,1,1,0,0,0 and
-# 2,1,0,0,0,0,0 ask 105 and 112 times for 75 and 77.  None of these runs
-# evicts, and a long-lived process holds at most this many entries.
-FEASIBLE_CLASS_CACHE_SIZE = 1024
-
-
-def _feasible_classes(vector: ExponentVector):
-    """Representatives of the classes with vector's top row and weight that hold a
-    nonnegative point.
-
-    A class holds one exactly when its chi array is a Gelfand-Tsetlin pattern,
-    so the classes are the patterns with the normalized top row and row sums,
-    raised back by the full-set count; r preserves top row and weight.
-    """
-    n = vector.n
-    values = dict(zip(chi_pairs(n), chi_table(vector)))
-    full = values[(n, n)]
-    if full < 0:
-        return ()
-    top = tuple(values[(p, n)] - full for p in range(1, n + 1))
-    sums = tuple(sum(values[(p, q)] for p in range(1, q + 1)) - q * full for q in range(n))
-    return _pattern_classes(n, top, sums, full)
-
-
-@lru_cache(maxsize=FEASIBLE_CLASS_CACHE_SIZE)
-def _pattern_classes(n: int, top: tuple, sums: tuple, full: int):
-    """The class representatives of _feasible_classes, memoized per key."""
-    raise_full = full * ExponentVector.unit(n, tuple(range(1, n + 1)))
-    return tuple(
-        shift_from_diagram(GTDiagram(rows)).gamma + raise_full
-        for rows in _pattern_rows(top, sums)
-    )
-
-
-# Bounded memo size.  A cold (8,4,0) basis asks 350 times for the down shifts
-# of 125 vectors; basis plus verify of all 17 n = 3, 4 weights with dimension
-# <= 15 in one process asks 675 times for 232; cold basis 2,1,1,0,0,0 and
-# 2,1,0,0,0,0,0 ask 255 and 259 times for 105 and 112.  None of these runs
-# evicts, and a long-lived process holds at most this many entries.
-FEASIBLE_SHIFT_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=FEASIBLE_SHIFT_CACHE_SIZE)
 def feasible_down_shifts(gamma: ExponentVector):
     """All s >= 0 for which gamma - s.r + B contains a nonnegative point, sorted.
 
     The union of the r-routes up from every feasible class of the same top row
-    and weight; gamma may be any integer vector, not only a diagram's shift.
-    Memoized per vector (see FEASIBLE_SHIFT_CACHE_SIZE).
+    and weight; gamma may be any integer vector, not only a diagram's shift
+    (see lattice.feasible_routes).
     """
-    return tuple(sorted(s for low in _feasible_classes(gamma) for s in r_routes(low, gamma)))
+    return feasible_routes(gamma)
 
 
 def feasible_up_shifts(gamma: ExponentVector):
@@ -151,7 +106,34 @@ def feasible_up_shifts(gamma: ExponentVector):
     The union of the r-routes from gamma up to every feasible class of the
     same top row and weight.
     """
-    return tuple(sorted(s for high in _feasible_classes(gamma) for s in r_routes(gamma, high)))
+    return feasible_routes(gamma, up=True)
+
+
+# Bounded memo size.  A cold (8,4,0) basis asks 575 times for the parts of
+# 125 vectors; basis plus verify of all 17 n = 3, 4 weights with dimension
+# <= 15 in one process asks 505 times for 157; cold basis 2,1,1,0,0,0 and
+# 2,1,0,0,0,0,0 ask 405 and 406 times for 105 and 112.  None of these runs
+# evicts, and a long-lived process holds at most this many entries.
+SOLUTION_PARTS_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=SOLUTION_PARTS_CACHE_SIZE)
+def _solution_parts(gamma: ExponentVector):
+    """The nonzero parts of agkz_solution(gamma), a read-only map from each
+    feasible down shift s whose part has a nonzero weight, in sorted order, to
+    (triples, weights, s!) with the triples and weights of
+    _horn_weights(gamma, s, down=s): part s is (-1)^|s| / s! times the
+    Horn-type series with weight s at the representative gamma - s.r.
+
+    Most parts vanish, every point's coordinate t lying in -s..-1 for some
+    direction: 23,464 of the 24,097 parts of (2,2,1,1,0,0).
+    """
+    parts = {}
+    for s in feasible_down_shifts(gamma):
+        triples, weights = _horn_weights(gamma, s, down=s)
+        if any(weights):
+            parts[s] = (triples, weights, multi_factorial(s))
+    return MappingProxyType(parts)
 
 
 def agkz_solution(gamma: ExponentVector) -> Polynomial:
@@ -162,29 +144,40 @@ def agkz_solution(gamma: ExponentVector) -> Polynomial:
     depends on the representative gamma, not only on gamma mod B.
     """
     terms = []
-    for s in feasible_down_shifts(gamma):
+    for s, (triples, weights, norm) in _solution_parts(gamma).items():
         sign = -1 if sum(s) % 2 else 1
-        norm = multi_factorial(s)
         terms.extend(
             (x, sign * weight, x_factorial * norm)
-            for x, weight, x_factorial in _horn_terms(gamma, s, down=s)
+            for (x, _, x_factorial), weight in zip(triples, weights)
+            if weight
         )
     return Polynomial.from_triples(gamma.n, terms)
 
 
-def f_pair_terms(base: ExponentVector, l):
-    """The terms of the paired series at base with gap l, as integers (x,
-    numerator, denominator), coefficient numerator / denominator.
+def paired_value(upper: ExponentVector, lower: ExponentVector, l) -> Fraction:
+    """The paired series at lower with gap l at A = 1, for upper = lower + l.r
+    exactly: the sum over the feasible down shifts u of lower of the pairing
+    of part u + l of agkz_solution(upper) with part u of agkz_solution(lower).
 
-    Over every feasible down shift u of base, (-1)^|l| / ((u + l)! u!) times
-    the Horn-type series at base - u.r with both Pochhammer weights u + l and
-    u.  Their sum, polyengine.rational_sum, is the value of the series at
-    A = 1, the coefficient gtbasis.coeff_C.
+    upper - (u + l).r = lower - u.r, so both parts lie on one class and see
+    the same coordinates t of each point x there, which contributes
+    (-1)^|l| (t+1)...(t+u+l) (t+1)...(t+u) / ((u + l)! u! x!).  Pairings
+    of parts at distinct u, the cross terms of parallel routes, are not
+    summed.
     """
-    l = _multi_index(base.n, l)
     sign = -1 if sum(l) % 2 else 1
-    for u in feasible_down_shifts(base):
-        a = tuple(x + y for x, y in zip(u, l))
-        norm = multi_factorial(a) * multi_factorial(u)
-        for x, weight, x_factorial in _horn_terms(base, a, u, down=u):
-            yield x, sign * weight, x_factorial * norm
+    above = _solution_parts(upper)
+    terms = []
+    for u, (triples, weights, u_factorial) in _solution_parts(lower).items():
+        part = above.get(tuple(x + y for x, y in zip(u, l)))
+        if part is None:  # a vanishing part pairs to zero
+            continue
+        same_class, upper_weights, a_factorial = part
+        assert same_class is triples or same_class == triples
+        norm = a_factorial * u_factorial
+        terms.extend(
+            (sign * w_upper * w_lower, x_factorial * norm)
+            for (_, _, x_factorial), w_upper, w_lower in zip(triples, upper_weights, weights)
+            if w_upper and w_lower
+        )
+    return rational_sum(terms)

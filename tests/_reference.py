@@ -2,11 +2,17 @@
 tests, mostly assembled from the package's own pieces.
 
 The package builds only what its pipeline reads: Horn-type series as integer
-terms (series._horn_terms, series.f_pair_terms), the points of a class with
-their lattice coordinates as class-table entries (lattice._class_entry), the
-shifts with their witnesses (lattice.canonical_shift_table).  These helpers
-turn those pieces into the polynomials, point lists and operators that the
-paper's identities are stated in, so that the tests can check them.
+weights (series._horn_weights), the points of a class with their lattice
+coordinates as class-table entries (lattice._class_entry), the shifts with
+their witnesses (lattice.canonical_shift_table).  These helpers turn those
+pieces into the polynomials, point lists and operators that the paper's
+identities are stated in, so that the tests can check them.
+
+The paper's closed-form coefficient is here too: coeff_C sums the paired
+series of f_pair_terms from its own Horn-type pass, apart from the solutions'
+parts that the coefficient table sums C from (series.paired_value), and
+feasible_classes builds the feasible class representatives of a vector as
+diagram shifts, apart from the class memo of the lattice module.
 
 FractionPolynomial is the one piece built apart from the package: a plain
 Fraction-per-term polynomial that the engine's integer-numerator arithmetic
@@ -18,9 +24,26 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from gtagkz.lattice import _class_entry, canonical_shift_table, lattice_basis, multi_factorial
-from gtagkz.polyengine import Polynomial, diff_apply
-from gtagkz.series import _horn_terms, f_pair_terms
+from gtagkz.combinatorics import GTDiagram, _pattern_rows, chi_pairs
+from gtagkz.lattice import (
+    ExponentVector,
+    _class_entry,
+    canonical_shift_table,
+    chi_table,
+    lattice_basis,
+    multi_factorial,
+    r_shift,
+    shift_from_diagram,
+)
+from gtagkz.polyengine import Polynomial, diff_apply, rational_sum
+from gtagkz.series import _horn_weights, _multi_index, feasible_down_shifts
+
+
+def _horn_terms(vector, *indices, down=None):
+    """The Horn-type series at vector - down.r as integer terms (x, weight, x!),
+    one per coset point of nonzero weight."""
+    triples, weights = _horn_weights(vector, *indices, down=down)
+    return [(x, weight, x_factorial) for (x, _, x_factorial), weight in zip(triples, weights) if weight]
 
 
 def canonical_shifts(diagrams):
@@ -49,6 +72,55 @@ def j_pair_series(delta, a, b) -> Polynomial:
         for x, weight, x_factorial in _horn_terms(delta, a, b)
     ]
     return Polynomial(delta.n, terms)
+
+
+def f_pair_terms(base, l):
+    """The terms of the paired series at base with gap l, as integers (x,
+    numerator, denominator), coefficient numerator / denominator.
+
+    Over every feasible down shift u of base, (-1)^|l| / ((u + l)! u!) times
+    the Horn-type series at base - u.r with both Pochhammer weights u + l and
+    u.  Their sum, polyengine.rational_sum, is the value of the series at
+    A = 1, the coefficient coeff_C.
+    """
+    l = _multi_index(base.n, l)
+    sign = -1 if sum(l) % 2 else 1
+    for u in feasible_down_shifts(base):
+        a = tuple(x + y for x, y in zip(u, l))
+        norm = multi_factorial(a) * multi_factorial(u)
+        for x, weight, x_factorial in _horn_terms(base, a, u, down=u):
+            yield x, sign * weight, x_factorial * norm
+
+
+def coeff_C(delta, l) -> Fraction:
+    """Orthogonalization coefficient: the paired series at delta - l.r, at A = 1,
+    summed from the terms of f_pair_terms over one common denominator."""
+    l = tuple(l)
+    base = delta - r_shift(delta.n, l)
+    return rational_sum((num, den) for _, num, den in f_pair_terms(base, l))
+
+
+def feasible_classes(vector):
+    """Representatives of the classes with vector's top row and weight that hold a
+    nonnegative point, as a tuple.
+
+    A class holds one exactly when its chi array is a Gelfand-Tsetlin pattern,
+    so the classes are the patterns with the normalized top row and row sums,
+    each built as its diagram's staircase shift raised back by the full-set
+    count; r preserves top row and weight.
+    """
+    n = vector.n
+    values = dict(zip(chi_pairs(n), chi_table(vector)))
+    full = values[(n, n)]
+    if full < 0:
+        return ()
+    top = tuple(values[(p, n)] - full for p in range(1, n + 1))
+    sums = tuple(sum(values[(p, q)] for p in range(1, q + 1)) - q * full for q in range(n))
+    raise_full = full * ExponentVector.unit(n, tuple(range(1, n + 1)))
+    return tuple(
+        shift_from_diagram(GTDiagram(rows)).gamma + raise_full
+        for rows in _pattern_rows(top, sums)
+    )
 
 
 def f_pair_series(base, l) -> Polynomial:

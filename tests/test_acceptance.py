@@ -14,7 +14,6 @@ from gtagkz.gtbasis import (
     CoefficientTable,
     build_basis,
     canonical_form,
-    coeff_C,
     coeff_C_alt,
     gram_matrix,
     representation,
@@ -31,7 +30,7 @@ from gtagkz.polyengine import (
 from gtagkz.series import multi_factorial, rising
 from gtagkz.verify import osnf_rhs, seeded_matrices
 import _linalg
-from _reference import j_series
+from _reference import coeff_C, j_series
 
 SEED = 0
 

@@ -328,6 +328,27 @@ def test_to_json_matches_the_standard_indented_encoder(value):
     assert cli._to_json(value) == json.dumps(value, indent=2)
 
 
+LADDERS = ((2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0), (2, 1, 0, 0), (2, 2, 1, 0), (3, 1, 0, 0))
+
+
+@pytest.mark.parametrize("top", LADDERS)
+def test_to_json_writes_a_polynomial_as_its_dict_form(top):
+    """Every polynomial of a basis document reads back as poly_to_json of it,
+    byte for byte the standard encoder's text of that list, also where one
+    document writes the same exponents again at another depth."""
+    basis, _, gt_polys = gtbasis.representation(top)
+    for entry, g in zip(basis.entries, gt_polys):
+        for poly in (entry.gamma_poly, entry.agkz_poly, g):
+            terms = polyengine.poly_to_json(poly)
+            assert json.loads(cli._to_json(poly)) == terms
+            assert cli._to_json({"a": poly, "b": [[poly], poly]}) == json.dumps(
+                {"a": terms, "b": [[terms], terms]}, indent=2
+            )
+    n = len(top)
+    for poly in (polyengine.Polynomial.zero(n), polyengine.Polynomial.monomial(lattice.ExponentVector.zero(n), -3)):
+        assert cli._to_json([poly]) == json.dumps([polyengine.poly_to_json(poly)], indent=2)
+
+
 @pytest.mark.parametrize("value", [1.5, [1, [2.0]], {"a": 0.5}, {1: "a"}])
 def test_to_json_rejects_floats_and_non_str_keys(value):
     with pytest.raises(TypeError):

@@ -11,7 +11,6 @@ from gtagkz.gtbasis import (
     DegenerateMetricError,
     build_basis,
     canonical_form,
-    coeff_C,
     coeff_C_alt,
     gram_matrix,
     gt_function,
@@ -23,7 +22,7 @@ from gtagkz.polyengine import evaluate_at_ones, evaluate_minors, pair
 from gtagkz.series import gamma_series, rising
 from gtagkz.verify import seeded_matrices
 
-from _reference import f_pair_series
+from _reference import coeff_C, f_pair_series
 
 
 def index_of(basis, diagram):

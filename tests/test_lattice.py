@@ -327,6 +327,12 @@ def test_lattice_coordinates_round_trip(n, data):
     c = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis)))
     moved = y + combine([vec.v for vec in basis], c, n)
     assert lattice._linear_maps(n, moved.items()) == (tuple(a + b for a, b in zip(t, c)), residual)
+    # the sparse r-direction columns are the nonzero parts of the dense chi, T and R of r
+    a = data.draw(st.integers(0, len(basis) - 1))
+    dense = (chi_table(basis[a].r), *lattice._linear_maps(n, basis[a].r.items()))
+    assert lattice._r_directions(n)[a] == tuple(
+        tuple((index, value) for index, value in enumerate(values) if value) for values in dense
+    )
 
 
 @pytest.mark.parametrize("n", range(3, 10))

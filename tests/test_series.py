@@ -6,14 +6,13 @@ from math import factorial
 
 import pytest
 
+from gtagkz import lattice
 from gtagkz.combinatorics import GTDiagram, chi_apply, enumerate_diagrams, highest_diagram
 from gtagkz.lattice import ExponentVector, lattice_basis, r_routes, r_shift, shift_from_diagram
 from gtagkz.operators import euler_weighted
 from gtagkz.polyengine import Polynomial, diff_apply, evaluate_at_ones, pair
 from gtagkz.series import (
-    _feasible_classes,
     agkz_solution,
-    f_pair_terms,
     feasible_down_shifts,
     feasible_up_shifts,
     gamma_series,
@@ -21,7 +20,15 @@ from gtagkz.series import (
     rising,
 )
 
-from _reference import canonical_shifts, f_pair_series, gkz_apply, j_pair_series, j_series
+from _reference import (
+    canonical_shifts,
+    f_pair_series,
+    f_pair_terms,
+    feasible_classes,
+    gkz_apply,
+    j_pair_series,
+    j_series,
+)
 
 
 def gauss_2f1_polynomial_coefficients(a1, a2, b1, count):
@@ -288,8 +295,10 @@ def _uncached_classes(vector):
 
 @pytest.mark.parametrize("top", [(4, 2, 0), (8, 4, 0), (2, 1, 0, 0), (3, 2, 1, 0)])
 def test_feasible_classes_memo_matches_uncached_patterns(top):
-    """Keyed on n, top row, row sums and full-set count: vectors that differ
-    in any of them get their own patterns, and a repeat returns the same tuple."""
+    """The reference classes are the patterns of the vector's top row and row
+    sums; the weight-order memo, keyed on n and the top row and row sums
+    lowered by the full-set count, holds their chi arrays lowered by that
+    count, and a repeat returns the same entry."""
     n = len(top)
     full_set = ExponentVector.unit(n, tuple(range(1, n + 1)))
     vectors = []
@@ -298,10 +307,14 @@ def test_feasible_classes_memo_matches_uncached_patterns(top):
             vectors.append(shift.gamma - r_shift(n, s))
     vectors += [v + full_set for v in vectors[::3]] + [v - full_set for v in vectors[::5]]
     for vector in vectors:
-        classes = _feasible_classes(vector)
+        classes = feasible_classes(vector)
         assert isinstance(classes, tuple)
         assert classes == tuple(_uncached_classes(vector))
-        assert _feasible_classes(vector) is classes
+        key, _, full = lattice._order_key(vector)
+        order = lattice._weight_order(*key)
+        memo = tuple(tuple(value + full for value in chi) for chi in order[0]) if full >= 0 else ()
+        assert memo == tuple(lattice.chi_table(v) for v in classes)
+        assert lattice._weight_order(*lattice._order_key(vector)[0]) is order
 
 
 @pytest.mark.parametrize("top", [(8, 4, 0), (3, 1, 0, 0)])
@@ -313,7 +326,7 @@ def test_feasible_down_shifts_memo_matches_an_uncached_search(top):
     vectors = [shift.gamma for shift in canonical_shifts(enumerate_diagrams(top))]
     vectors += [gamma + v for gamma in vectors[::2]]
     for vector in vectors:
-        expected = tuple(sorted(s for low in _feasible_classes(vector) for s in r_routes(low, vector)))
+        expected = tuple(sorted(s for low in feasible_classes(vector) for s in r_routes(low, vector)))
         shifts = feasible_down_shifts(vector)
         assert isinstance(shifts, tuple)
         assert shifts == expected
