@@ -24,7 +24,6 @@ from .polyengine import (
     evaluate_at_ones,
     evaluate_minors,
     exponent_to_json,
-    pair,
     poly_from_json,
     subset_to_str,
 )
@@ -45,6 +44,13 @@ OPTION_LIKE_WEIGHT = re.compile(r"-\d[\d,-]*,[\d,-]*")
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser errors as one line "error: <message>", exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def _parse_weight(text):
@@ -242,7 +248,7 @@ def _basis_document(top_row):
                 "gamma_series": entry.gamma_poly,
                 "agkz_solution": entry.agkz_poly,
                 "gt_function": gt_polys[idx],
-                "norm_squared": str(pair(gt_polys[idx], gt_polys[idx])),
+                "norm_squared": str(table.norms[idx]),
             }
         )
     coefficients = {
@@ -270,16 +276,14 @@ def _basis_document(top_row):
 def cmd_basis(args) -> int:
     top_row = _parse_weight(args.top_row)
     _check_n(len(top_row))
+    document = _basis_document(top_row)
     if args.format == "json":
-        _emit(_to_json(_basis_document(top_row)), args.out)
+        _emit(_to_json(document), args.out)
         return 0
-    weight, _ = normalize_weight(top_row)
-    basis, _, gt_polys = representation(weight)
-    lines = [f"representation {list(weight)}: dimension {len(basis.entries)}"]
-    for entry, g in zip(basis.entries, gt_polys):
+    lines = [f"representation {document['top_row']}: dimension {document['dimension']}"]
+    for entry in document["entries"]:
         lines.append(
-            f"  diagram {[list(row) for row in entry.diagram.rows]} "
-            f"weight {list(entry.diagram.weight())} |G|^2 = {pair(g, g)}"
+            f"  diagram {entry['diagram']} weight {entry['weight']} |G|^2 = {entry['norm_squared']}"
         )
     _emit("\n".join(lines), args.out)
     return 0
@@ -375,7 +379,7 @@ def cmd_eval(args) -> int:
 @lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built once per process (its help texts cost gettext lookups)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gt-agkz",
         description=(
             "Exact construction of Gelfand-Tsetlin bases as polynomials in "
@@ -431,30 +435,25 @@ def _formatted(p):
     _common(p)
 
 
-def _option_like_weight(argv):
-    """The weight argparse would take for an option, before any --, or None."""
+def _refuse_option_like_weight(argv):
+    """Raise UsageError for a weight argparse would take for an option, before any --."""
     if argv and argv[0] in WEIGHT_COMMANDS:
         for token in argv[1:]:
             if token == "--":
                 break
             if OPTION_LIKE_WEIGHT.fullmatch(token):
-                return token
-    return None
+                raise UsageError(
+                    f"weight {token!r} reads as an option; put it last, after --: "
+                    f"gt-agkz {argv[0]} [options] -- {token}"
+                )
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    weight = _option_like_weight(argv)
-    if weight is not None:
-        print(
-            f"error: weight {weight!r} reads as an option; put it last, after --: "
-            f"gt-agkz {argv[0]} [options] -- {weight}",
-            file=sys.stderr,
-        )
-        return 2
-    args = parser.parse_args(argv)
     try:
+        _refuse_option_like_weight(argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)

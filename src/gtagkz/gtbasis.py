@@ -22,7 +22,6 @@ from .lattice import (
     ExponentVector,
     ShiftVector,
     canonical_shift_table,
-    class_order,
     lattice_basis,
     nonneg_points,
     r_shift,
@@ -62,10 +61,11 @@ class BasisEntry(ValueRecord):
 
 
 class RepresentationBasis(ValueRecord):
-    __slots__ = ("top_row", "n", "entries")
+    # lowers: per entry, the class_order pairs (jdx, l) of the entries below it
+    __slots__ = ("top_row", "n", "entries", "lowers")
 
-    def __init__(self, top_row: tuple, n: int, entries: tuple):
-        self._fill(top_row, n, entries)
+    def __init__(self, top_row: tuple, n: int, entries: tuple, lowers: tuple):
+        self._fill(top_row, n, entries, lowers)
 
     def __len__(self):
         return len(self.entries)
@@ -74,10 +74,10 @@ class RepresentationBasis(ValueRecord):
 def build_basis(top_row) -> RepresentationBasis:
     """Enumerate diagrams, fix coherent shifts, and build both polynomial families."""
     diagrams = enumerate_diagrams(top_row)
-    table = canonical_shift_table(diagrams)
+    rows, order = canonical_shift_table(diagrams)
     n = len(tuple(top_row))
     entries = []
-    for diagram, (shift, witness) in zip(diagrams, table):
+    for diagram, (shift, witness) in zip(diagrams, rows):
         entries.append(
             BasisEntry(
                 diagram=diagram,
@@ -87,7 +87,7 @@ def build_basis(top_row) -> RepresentationBasis:
                 witness=tuple(witness),
             )
         )
-    return RepresentationBasis(top_row=tuple(top_row), n=n, entries=tuple(entries))
+    return RepresentationBasis(tuple(top_row), n, tuple(entries), tuple(order))
 
 
 def gram_matrix(basis: RepresentationBasis):
@@ -147,9 +147,9 @@ class CoefficientTable:
     classes; when such parallel routes exist (possible from n = 4 on) C
     misses their cross terms, so S is always built from the exact pairings.
 
-    All five tables (C, C_exact, S, lowers, the class_order pairs (jdx, l)
-    below each entry, and positions, each entry's index by its shift vector)
-    are read-only mappings once the table is built.
+    All six tables (C, C_exact, S, norms, each G's <G, G>, lowers, the basis's
+    class_order pairs (jdx, l) below each entry, and positions, each entry's
+    index by its shift vector) are read-only mappings once the table is built.
 
     S[(idx, l)] is the coefficient of the solution at gap l below entry idx
     in its Gelfand-Tsetlin function G: exact Gram-Schmidt of F over the
@@ -159,11 +159,11 @@ class CoefficientTable:
     """
 
     def __init__(self, basis: RepresentationBasis):
-        self.basis = basis
         self.C = {}
         self.C_exact = {}
         self.S = {}
-        self.lowers = dict(enumerate(class_order([entry.shift for entry in basis.entries])))
+        self.norms = {}
+        self.lowers = dict(enumerate(basis.lowers))
         self.positions = {}
         for idx, entry in enumerate(basis.entries):
             self.positions.setdefault(entry.shift.gamma, idx)
@@ -177,10 +177,9 @@ class CoefficientTable:
                 raise DegenerateMetricError(
                     f"zero diagonal coefficient at diagram {entry.diagram.rows}"
                 )
-        # G_idx = (F_idx - sum_j <F_idx, G_j> / <G_j, G_j> G_j) / d_idx over the
-        # strict down-set; a strictly lower entry has a smaller witness sum,
-        # so bottom-up order finishes every G_j before G_idx needs it
-        norms = {}  # <G_j, G_j>
+        # G_idx = (F_idx - sum_j <F_idx, G_j> / <G_j, G_j> G_j) / d_idx over the strict
+        # down-set, so <G_idx, G_idx> = <G_idx, F_idx> / d_idx; a strictly lower entry has
+        # a smaller witness sum, so bottom-up order finishes every G_j before G_idx needs it
         order = sorted(range(len(basis.entries)), key=lambda i: sum(basis.entries[i].witness))
         for idx in order:
             diagonal = self.C_exact[(idx, zero)]
@@ -195,16 +194,17 @@ class CoefficientTable:
                     for _, m in self.lowers[jdx]
                 ]
                 overlap = sum(s * self.C_exact[(idx, gap)] for gap, s in below)
-                factor = overlap / (diagonal * norms[jdx])
+                factor = overlap / (diagonal * self.norms[jdx])
                 for gap, s in below:
                     self.S[(idx, gap)] -= factor * s
-            norms[idx] = sum(
+            self.norms[idx] = sum(
                 self.S[(idx, l)] * self.C_exact[(idx, l)] for _, l in self.lowers[idx]
             ) / diagonal
         # a built table is shared (see representation), so no caller may change it
         self.C = MappingProxyType(self.C)
         self.C_exact = MappingProxyType(self.C_exact)
         self.S = MappingProxyType(self.S)
+        self.norms = MappingProxyType(self.norms)
         self.lowers = MappingProxyType(self.lowers)
         self.positions = MappingProxyType(self.positions)
 

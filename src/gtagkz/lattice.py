@@ -447,10 +447,10 @@ def _order_key(gamma: ExponentVector):
     return (n, tuple(top), tuple(sums)), chi, full
 
 
-# Bounded memo size.  A cold (8,4,0) basis asks 375 times for 61 keys; basis
+# Bounded memo size.  A cold (8,4,0) basis asks 250 times for 61 keys; basis
 # plus verify of all 17 n = 3, 4 weights with dimension <= 15 in one process
-# asks 957 times for 200; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0 ask 315
-# and 336 times for 75 and 77.  None of these runs evicts, and a long-lived
+# asks 802 times for 200; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0 ask 210
+# and 224 times for 75 and 77.  None of these runs evicts, and a long-lived
 # process holds at most this many entries.
 WEIGHT_ORDER_CACHE_SIZE = 1024
 
@@ -530,14 +530,15 @@ def class_order(shifts):
 
 
 def canonical_shift_table(diagrams):
-    """Coherent shifts plus their witnesses from the minimal diagrams.
+    """(rows, order): each diagram's coherent shift and witness, and their class_order.
 
     Every diagram must lie above exactly one minimal diagram of its weight,
     its bottom: that bottom keeps its staircase shift, and the diagram gets
     the bottom's shift plus the witness combination of r vectors, so
     comparable diagrams differ exactly (not only mod B) by a nonnegative
     combination of r's.  A diagram above no or several minimal diagrams of
-    its weight raises AmbiguousMinimumError.
+    its weight raises AmbiguousMinimumError.  order is read from the
+    staircase shifts, each congruent mod B to its diagram's coherent shift.
     """
     diagrams = list(diagrams)
     base = [shift_from_diagram(d) for d in diagrams]
@@ -553,7 +554,7 @@ def canonical_shift_table(diagrams):
             )
         ((bottom, witness),) = bottoms
         result.append((ShiftVector(base[bottom].gamma + r_shift(n, witness), diagram), witness))
-    return result
+    return result, order
 
 
 def _plan(slots, counted, targets):

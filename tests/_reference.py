@@ -16,15 +16,18 @@ diagram shifts, apart from the class memo of the lattice module.
 
 FractionPolynomial is the one piece built apart from the package: a plain
 Fraction-per-term polynomial that the engine's integer-numerator arithmetic
-is checked against.
+is checked against.  SESSION_WEIGHTS are the weights of the benchmark's
+verify session.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 from gtagkz.combinatorics import GTDiagram, _pattern_rows, chi_pairs
+from gtagkz.gtbasis import weyl_dimension
 from gtagkz.lattice import (
     ExponentVector,
     _class_entry,
@@ -38,6 +41,16 @@ from gtagkz.lattice import (
 from gtagkz.polyengine import Polynomial, diff_apply, rational_sum
 from gtagkz.series import _horn_weights, _multi_index, feasible_down_shifts
 
+# The weights of the benchmark's verify session: every n = 3, 4 top row with
+# last entry 0 and Weyl dimension at most 15.
+SESSION_WEIGHTS = [
+    top
+    for n in (3, 4)
+    for top in product(range(8, -1, -1), repeat=n)
+    if top[-1] == 0 and top[0] > 0 and list(top) == sorted(top, reverse=True)
+    and weyl_dimension(top) <= 15
+]
+
 
 def _horn_terms(vector, *indices, down=None):
     """The Horn-type series at vector - down.r as integer terms (x, weight, x!),
@@ -48,7 +61,7 @@ def _horn_terms(vector, *indices, down=None):
 
 def canonical_shifts(diagrams):
     """The coherent shift vectors of canonical_shift_table, without their witnesses."""
-    return [shift for shift, _ in canonical_shift_table(diagrams)]
+    return [shift for shift, _ in canonical_shift_table(diagrams)[0]]
 
 
 def coset_points(gamma):

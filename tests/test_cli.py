@@ -253,6 +253,39 @@ def test_format_is_rejected_where_it_has_no_effect(command, capsys):
     assert "--format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis"],
+        ["basis", "2,1,0", "--format", "xml"],
+        ["verify", "2,1,0", "--seed", "x"],
+        ["verify", "2,1,0", "--matrices", "x"],
+        ["lattice", "three"],
+        ["diagrams", "2,1,0", "--bogus"],
+        [],
+        ["bogus"],
+    ],
+    ids=["no-weight", "format-xml", "seed-x", "matrices-x", "lattice-three",
+         "unknown-option", "no-command", "unknown-command"],
+)
+def test_parser_errors_are_one_line_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert_usage_error(stop.value.code, captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_still_prints_the_usage(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert stop.value.code == 0
+    assert captured.out.startswith("usage: gt-agkz")
+    assert captured.err == ""
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "lattice.json"
     code, _, _ = run(capsys, "lattice", "3", "--format", "json", "--out", str(target))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtagkz import gtbasis, lattice
 from gtagkz.combinatorics import GTDiagram, highest_diagram
 from gtagkz.gtbasis import (
     CoefficientTable,
@@ -17,12 +18,12 @@ from gtagkz.gtbasis import (
     representation,
     weyl_dimension,
 )
-from gtagkz.lattice import lattice_basis, r_shift
+from gtagkz.lattice import class_order, lattice_basis, r_shift
 from gtagkz.polyengine import evaluate_at_ones, evaluate_minors, pair
 from gtagkz.series import gamma_series, rising
 from gtagkz.verify import seeded_matrices
 
-from _reference import coeff_C, f_pair_series
+from _reference import SESSION_WEIGHTS, coeff_C, f_pair_series
 
 
 def index_of(basis, diagram):
@@ -202,6 +203,41 @@ def test_S_keeps_the_diagonal_and_the_first_order_inversion_on_short_chains():
                 if l != zero:
                     expected = -table.C_exact[(idx, l)] / (diagonal * table.C_exact[(jdx, zero)])
                     assert table.S[(idx, l)] == expected
+
+
+LADDER = [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0), (2, 1, 0, 0), (2, 2, 1, 0), (3, 1, 0, 0)]
+
+
+@pytest.mark.parametrize("top", LADDER + SESSION_WEIGHTS)
+def test_norms_are_the_pairing_of_each_gt_function_with_itself(top):
+    basis, table, polys = representation(top)
+    assert sorted(table.norms) == list(range(len(basis.entries)))
+    for idx, g in enumerate(polys):
+        assert table.norms[idx] == pair(g, g)
+    with pytest.raises(TypeError):
+        table.norms[0] = 0
+
+
+@pytest.mark.parametrize("top", LADDER)
+def test_lowers_are_the_class_order_of_the_canonical_shifts(top):
+    basis = build_basis(top)
+    expected = class_order([entry.shift for entry in basis.entries])
+    assert dict(CoefficientTable(basis).lowers) == dict(enumerate(expected))
+
+
+def test_class_order_runs_once_per_representation(monkeypatch):
+    calls = []
+
+    def counting(shifts):
+        calls.append(shifts)
+        return class_order(shifts)
+
+    for module in (lattice, gtbasis):  # counted wherever a module calls it from
+        monkeypatch.setattr(module, "class_order", counting, raising=False)
+    representation.cache_clear()
+    representation((3, 1, 0, 0))
+    assert len(calls) == 1
+    representation.cache_clear()
 
 
 def test_gt_function_highest_is_normalized_highest_vector():

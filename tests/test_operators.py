@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from gtagkz.combinatorics import chi_pairs, enumerate_diagrams, highest_diagram
-from gtagkz.gtbasis import BasisEntry, build_basis, weyl_dimension
+from gtagkz.gtbasis import BasisEntry, build_basis
 from gtagkz.lattice import ExponentVector, lattice_basis, shift_from_diagram
 from gtagkz.operators import agkz_apply, e_action, euler_weighted, plucker_generators
 from gtagkz.polyengine import Polynomial, diff_apply, evaluate_minors, pair
@@ -16,7 +16,7 @@ from gtagkz.series import agkz_solution, gamma_series
 from gtagkz import verify
 from gtagkz.verify import _random_combination, seeded_matrices
 import _linalg
-from _reference import canonical_shifts, gkz_apply
+from _reference import SESSION_WEIGHTS, canonical_shifts, gkz_apply
 
 
 def random_span_element(polys, rng):
@@ -231,17 +231,6 @@ def test_a_nonzero_plucker_product_fails_both_checks_alike(monkeypatch):
     assert not agkz.passed and agkz.detail == f"{len(entries)} solutions x {k} operators -- FAILED: {failure}"
     assert not plucker.passed and plucker.detail == f"{k} generators, 20 matrices -- FAILED: {failure}"
 
-
-
-# The weights of the benchmark's verify session: every n = 3, 4 top row with
-# last entry 0 and Weyl dimension at most 15.
-SESSION_WEIGHTS = [
-    top
-    for n in (3, 4)
-    for top in itertools.product(range(8, -1, -1), repeat=n)
-    if top[-1] == 0 and top[0] > 0 and list(top) == sorted(top, reverse=True)
-    and weyl_dimension(top) <= 15
-]
 
 
 def homogeneity_operator_failures(ctx):

@@ -53,7 +53,8 @@ def basis_entry():
 
 
 def representation_basis():
-    return RepresentationBasis(top_row=(1, 0, 0), n=3, entries=build_basis((1, 0, 0)).entries)
+    basis = build_basis((1, 0, 0))
+    return RepresentationBasis(top_row=(1, 0, 0), n=3, entries=basis.entries, lowers=basis.lowers)
 
 
 def check_result():
@@ -78,7 +79,10 @@ REPRS = {
         "diagram=GTDiagram(rows=((2, 1, 0), (2, 0), (1,))))"
     ),
     basis_entry: E100,
-    representation_basis: f"RepresentationBasis(top_row=(1, 0, 0), n=3, entries=({E100}, {E110}, {E111}))",
+    representation_basis: (
+        f"RepresentationBasis(top_row=(1, 0, 0), n=3, entries=({E100}, {E110}, {E111}), "
+        "lowers=(((0, (0,)),), ((1, (0,)),), ((2, (0,)),)))"
+    ),
     check_result: "CheckResult(name='orthogonality', passed=True, detail='3 pairs')",
 }
 

@@ -143,7 +143,7 @@ def oracle_routes(gamma, delta):
 
 
 def _shifts(top):
-    return [shift.gamma for shift, _ in canonical_shift_table(enumerate_diagrams(top))]
+    return [shift.gamma for shift, _ in canonical_shift_table(enumerate_diagrams(top))[0]]
 
 
 def _differences(top):
