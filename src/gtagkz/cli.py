@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .combinatorics import enumerate_diagrams, normalize_weight
-from .gtbasis import build_basis, gram_matrix, representation, weyl_dimension
+from .gtbasis import gram_matrix, representation, weyl_dimension
 from .lattice import in_lattice, lattice_basis, lattice_rank
 from .polyengine import (
     Polynomial,
@@ -292,8 +292,7 @@ def cmd_basis(args) -> int:
 def cmd_gram(args) -> int:
     weight, _ = normalize_weight(_parse_weight(args.top_row))
     _check_n(len(weight))
-    basis = build_basis(weight)
-    gram = gram_matrix(basis)
+    gram = gram_matrix(representation(weight)[0])
     if args.format == "json":
         document = {
             "schema": SCHEMA,

@@ -9,9 +9,8 @@ lattice {x : chi_p^q(x) = m_{p,q}}.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, groupby, product
 from math import factorial
-from types import MappingProxyType
 
 from .combinatorics import (
     GTDiagram,
@@ -380,12 +379,22 @@ def _unit_windows(n: int):
     return tuple((p, q) for p, q in chi_pairs(n) if p < q < n)
 
 
-def _witness(n: int, low, high, defect):
-    """The multi-index placing the window defect of chi arrays low and high on
-    the unit-window vectors (p, q, q+1, empty X), checked to carry low to high."""
+def coset_leq(gamma: ExponentVector, delta: ExponentVector):
+    """Witness s >= 0 with gamma + s.r congruent to delta mod B, or None.
+
+    The witness places the window defect on the unit-window vectors
+    (p, q, q+1, empty X), checked to carry gamma's chi array to delta's.
+    """
+    if gamma.n != delta.n:
+        raise ValueError("dimension mismatch")
+    n = gamma.n
+    low, high = chi_table(gamma), chi_table(delta)
+    defect = _window_defect(n, low, high)
+    if defect is None:
+        return None
     basis, index = lattice_basis(n), _basis_index(n)
     witness = [0] * len(basis)
-    moved = list(low)  # chi(low + s.r), chi being linear
+    moved = list(low)  # chi(gamma + s.r), chi being linear
     for (p, q), amount in zip(_unit_windows(n), defect):
         if amount:
             b = index[(p, q, q + 1, ())]
@@ -396,23 +405,29 @@ def _witness(n: int, low, high, defect):
     return tuple(witness)
 
 
-def coset_leq(gamma: ExponentVector, delta: ExponentVector):
-    """Witness s >= 0 with gamma + s.r congruent to delta mod B, or None.
-
-    The witness places the window defect on the unit-window vectors
-    (p, q, q+1, empty X).
-    """
-    if gamma.n != delta.n:
-        raise ValueError("dimension mismatch")
-    low, high = chi_table(gamma), chi_table(delta)
-    defect = _window_defect(gamma.n, low, high)
-    return None if defect is None else _witness(gamma.n, low, high, defect)
-
-
 def _route_sums(n: int, low, high):
-    """The routes joining chi arrays low and high (see r_routes), unordered."""
+    """The routes joining chi arrays low and high (see r_routes), unordered.
+
+    A direction moves only the windows of its own level i, so a route is one
+    walk result per level, summed: each level is walked once, not once per
+    route of the levels before it.  The first level is read as it is walked
+    and the others are kept as their nonzero entries, so no level's results
+    are held beside the routes built from them.
+    """
     defect = _window_defect(n, low, high)
-    return [] if defect is None else _exact_sums(_route_plan(n), defect)
+    if defect is None:
+        return []
+    k = len(lattice_basis(n))
+    first, *rest = _level_plans(n) or ((),)  # n <= 2: no direction, one empty route
+    rest = [[_nonzero(y) for y in _exact_sums(steps, defect, k)] for steps in rest]
+    routes = []
+    for y in _exact_sums(first, defect, k):
+        for parts in product(*rest):
+            route = list(y)
+            for slot, value in chain.from_iterable(parts):
+                route[slot] = value
+            routes.append(tuple(route))
+    return routes
 
 
 def r_routes(gamma: ExponentVector, delta: ExponentVector):
@@ -432,7 +447,7 @@ def r_routes(gamma: ExponentVector, delta: ExponentVector):
 def _order_key(gamma: ExponentVector):
     """(key, chi, full): gamma's full-set count full = chi_n^n(gamma), its chi
     array lowered by full, and the key (n, top row, row sums) of that array
-    in _weight_order.  r and the full-set unit, whose chi array is all ones,
+    in _weight_classes.  r and the full-set unit, whose chi array is all ones,
     preserve the key, and neither changes the window defect."""
     n = gamma.n
     values = chi_table(gamma)
@@ -447,63 +462,37 @@ def _order_key(gamma: ExponentVector):
     return (n, tuple(top), tuple(sums)), chi, full
 
 
-# Bounded memo size.  A cold (8,4,0) basis asks 250 times for 61 keys; basis
+# Bounded memo size.  A cold (8,4,0) basis asks 125 times for 61 keys; basis
 # plus verify of all 17 n = 3, 4 weights with dimension <= 15 in one process
-# asks 802 times for 200; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0 ask 210
-# and 224 times for 75 and 77.  None of these runs evicts, and a long-lived
+# asks 647 times for 200; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0 ask 105
+# and 112 times for 75 and 77.  None of these runs evicts, and a long-lived
 # process holds at most this many entries.
-WEIGHT_ORDER_CACHE_SIZE = 1024
+WEIGHT_CLASSES_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=WEIGHT_ORDER_CACHE_SIZE)
-def _weight_order(n: int, top: tuple, sums: tuple):
-    """The classes of chi arrays with full-set count 0, top row top and row
-    sums sums that hold a nonnegative point, and the order among them, as
-    (index, lowers, down, up), every part read-only.
+@lru_cache(maxsize=WEIGHT_CLASSES_CACHE_SIZE)
+def _weight_classes(n: int, top: tuple, sums: tuple):
+    """The chi arrays, in pattern order, of the classes with full-set count 0,
+    top row top and row sums sums that hold a nonnegative point.
 
     A class holds one exactly when its chi array is a Gelfand-Tsetlin
-    pattern, so the classes are the patterns under top with those row sums;
-    index maps each one's chi array to its position, in pattern order.  Each
-    ordered pair of classes is compared once: lowers[c] maps every class
-    b <= c to the coset_leq witness from b up to c, and down[c] and up[c]
-    are the sorted r_routes from every class below c and to every class
-    above it.
+    pattern, so these are the patterns under top with those row sums.
     """
-    classes = [_pattern_chi(rows) for rows in _pattern_rows(top, sums)]
-    plan = _route_plan(n)
-    lowers = [{} for _ in classes]
-    down = [[] for _ in classes]
-    up = [[] for _ in classes]
-    for c, high in enumerate(classes):
-        for b, low in enumerate(classes):
-            defect = _window_defect(n, low, high)
-            if defect is not None:
-                lowers[c][b] = _witness(n, low, high, defect)
-                routes = _exact_sums(plan, defect)
-                down[c].extend(routes)
-                up[b].extend(routes)
-    index = MappingProxyType({chi: c for c, chi in enumerate(classes)})
-    down, up = (tuple(tuple(sorted(routes)) for routes in table) for table in (down, up))
-    return index, tuple(map(MappingProxyType, lowers)), down, up
+    return tuple(_pattern_chi(rows) for rows in _pattern_rows(top, sums))
 
 
 def feasible_routes(gamma: ExponentVector, up=False):
     """All s >= 0 for which gamma - s.r + B (gamma + s.r + B when up)
-    contains a nonnegative point, sorted.
-
-    The r_routes from (to) every class of gamma's top row and weight that
-    holds a nonnegative point: read from _weight_order when gamma's class is
-    one of them, else joined here from gamma's own window defects.
-    """
+    contains a nonnegative point, sorted: the r_routes from (to) every class
+    of _weight_classes at gamma's key, joined from gamma's window defects."""
     key, chi, full = _order_key(gamma)
     if full < 0:  # chi_n^n counts the full set alone, so no point is nonnegative
         return ()
-    index, _, down, above = _weight_order(*key)
-    c = index.get(chi)
-    if c is not None:
-        return (above if up else down)[c]
     n = gamma.n
-    found = (_route_sums(n, chi, other) if up else _route_sums(n, other, chi) for other in index)
+    found = (
+        _route_sums(n, chi, other) if up else _route_sums(n, other, chi)
+        for other in _weight_classes(*key)
+    )
     return tuple(sorted(s for routes in found for s in routes))
 
 
@@ -511,20 +500,16 @@ def class_order(shifts):
     """Per index, the pairs (jdx, l) with l = coset_leq(shifts[jdx].gamma,
     shifts[idx].gamma) not None, in index order, the index's own pair included.
 
-    Read from _weight_order: comparable classes share top row and weight, so
-    only shifts of one key are compared, and that entry compared their
-    classes once.
+    Comparable classes share top row and weight, the key of _order_key, so
+    only shifts of one key are compared.
     """
-    located = []  # per shift, (its key, the lowers of that key, its class's position)
+    keys = [_order_key(shift.gamma)[0] for shift in shifts]
     same_key = {}
-    for jdx, shift in enumerate(shifts):
-        key, chi, _ = _order_key(shift.gamma)
-        index, lowers, _, _ = _weight_order(*key)
-        located.append((key, lowers, index[chi]))
+    for jdx, key in enumerate(keys):
         same_key.setdefault(key, []).append(jdx)
     order = []
-    for key, lowers, c in located:
-        pairs = ((jdx, lowers[c].get(located[jdx][2])) for jdx in same_key[key])
+    for high, key in zip(shifts, keys):
+        pairs = ((jdx, coset_leq(shifts[jdx].gamma, high.gamma)) for jdx in same_key[key])
         order.append(tuple((jdx, l) for jdx, l in pairs if l is not None))
     return order
 
@@ -589,17 +574,25 @@ def _route_plan(n: int):
     return _plan(order, counted, len(window))
 
 
-def _exact_sums(steps, target):
-    """Every y >= 0 using up target exactly along the steps, as tuples indexed by
-    slot, unordered: step (slot, counted, closes) sets y[slot] to at most what
-    remains of each target it counts, and to all that remains of closes, the
-    target it is the last to count.  A loop: plans run to 4,095 steps at n = 12.
+@lru_cache(maxsize=None)
+def _level_plans(n: int):
+    """_route_plan cut into its runs of directions of one level i."""
+    basis = lattice_basis(n)
+    return tuple(tuple(run) for _, run in groupby(_route_plan(n), key=lambda step: basis[step[0]].i))
+
+
+def _exact_sums(steps, target, size):
+    """Yield every y >= 0 using up target exactly along the steps, as tuples of
+    size entries indexed by slot, unordered: step (slot, counted, closes) sets
+    y[slot] to at most what remains of each target it counts, and to all that
+    remains of closes, the target it is the last to count.  A loop: plans run
+    to 4,095 steps at n = 12.
     """
-    y, remaining, found = [0] * len(steps), list(target), []
+    y, remaining = [0] * size, list(target)
     depth = 0
     while depth >= 0:
         if depth == len(steps):
-            found.append(tuple(y))
+            yield tuple(y)
         else:  # take the most the step can
             slot, counted, closes = steps[depth]
             value = min(remaining[c] for c in counted)
@@ -622,14 +615,13 @@ def _exact_sums(steps, target):
                 remaining[c] += y[slot]
             y[slot] = 0
             depth -= 1
-    return found
 
 
 # Bounded memo size.  The class table is read once per series call and holds
-# one entry per class: a cold (8,4,0) basis asks 721 times for 125 classes;
+# one entry per class: a cold (8,4,0) basis asks 350 times for 125 classes;
 # basis plus verify of all 17 n = 3, 4 weights with dimension <= 15 in one
-# process asks 1,148 times for 157; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0
-# ask 9,732 and 10,849 times for 105 and 112.  None of these runs evicts, and
+# process asks 950 times for 157; cold basis 2,1,1,0,0,0 and 2,1,0,0,0,0,0
+# ask 4,782 and 5,463 times for 105 and 112.  None of these runs evicts, and
 # a long-lived process holds at most this many entries.
 CLASS_POINTS_CACHE_SIZE = 4096
 
@@ -647,7 +639,7 @@ def _class_table(n: int, target: tuple):
     """
     if any(value < 0 for value in target):
         return (), None
-    points = _exact_sums(_search_plan(n), target)
+    points = _exact_sums(_search_plan(n), target, len(subset_position(n)))
     subsets = enumerate_subsets(n)
     triples, shared = [], None
     for point in sorted(points):

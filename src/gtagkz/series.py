@@ -94,8 +94,9 @@ def feasible_down_shifts(gamma: ExponentVector):
     """All s >= 0 for which gamma - s.r + B contains a nonnegative point, sorted.
 
     The union of the r-routes up from every feasible class of the same top row
-    and weight; gamma may be any integer vector, not only a diagram's shift
-    (see lattice.feasible_routes).
+    and weight, walked on each call and kept nowhere; gamma may be any integer
+    vector, not only a diagram's shift (see lattice.feasible_routes).  The
+    build reads them once per vector, in _solution_parts.
     """
     return feasible_routes(gamma)
 
@@ -104,7 +105,7 @@ def feasible_up_shifts(gamma: ExponentVector):
     """All s >= 0 for which gamma + s.r + B contains a nonnegative point, sorted.
 
     The union of the r-routes from gamma up to every feasible class of the
-    same top row and weight.
+    same top row and weight, walked on each call and kept nowhere.
     """
     return feasible_routes(gamma, up=True)
 

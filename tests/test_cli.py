@@ -428,6 +428,26 @@ def test_basis_then_verify_builds_the_representation_once(capsys, monkeypatch):
     assert len(builds) == len(tables) == 2
 
 
+def test_basis_then_gram_builds_the_basis_once(capsys, monkeypatch):
+    gtbasis.representation.cache_clear()
+    builds = []
+    build_basis = gtbasis.build_basis
+
+    def counting_build(top_row):
+        builds.append(top_row)
+        return build_basis(top_row)
+
+    for module in (gtbasis, cli):  # counted wherever a module calls it from
+        monkeypatch.setattr(module, "build_basis", counting_build, raising=False)
+    code, basis, _ = run(capsys, "basis", "2,1,0,0", "--format", "json")
+    assert code == 0
+    code, gram, _ = run(capsys, "gram", "2,1,0,0", "--format", "json")
+    assert code == 0
+    assert builds == [(2, 1, 0, 0)]
+    assert json.loads(gram)["dimension"] == json.loads(basis)["dimension"] == 20
+    gtbasis.representation.cache_clear()
+
+
 def test_shared_polynomials_are_read_only(capsys):
     """No caller can change the G functions or solutions that the representation
     memo hands to every later caller: basis and verify still read the originals."""

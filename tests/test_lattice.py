@@ -560,12 +560,24 @@ def test_class_entry_check_fires_on_a_corrupted_r_direction_column(monkeypatch):
 LADDER = [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0), (2, 1, 0, 0), (2, 2, 1, 0), (3, 1, 0, 0)]
 
 
-@pytest.mark.parametrize("top", LADDER)
+def _diagrams(top):
+    """The diagrams of a top row with any last entry: those of the top row
+    lowered to end in 0, raised back entry by entry."""
+    low = top[-1]
+    lowered = enumerate_diagrams(tuple(value - low for value in top))
+    return [GTDiagram(tuple(tuple(v + low for v in row) for row in d.rows)) for d in lowered]
+
+
+# a top row, or top rows whose diagrams are taken together: the shifts of
+# (2,1,0) and (3,2,1) share their top rows and row sums lowered by the
+# full-set count, but not that count, so no two of them are comparable
+@pytest.mark.parametrize("top", LADDER + [((2, 1, 0), (3, 2, 1))])
 def test_comparability_components_match_all_pairs(top):
     """class_order, comparing only shifts of equal weight, finds every pair the
     all-pairs scan finds, and canonical_shift_table builds each diagram from the
     unique minimum of its comparability component."""
-    diagrams = enumerate_diagrams(top)
+    tops = top if isinstance(top[0], tuple) else (top,)
+    diagrams = [d for row in tops for d in _diagrams(row)]
     shifts = [shift_from_diagram(d) for d in diagrams]
     count = len(shifts)
     # leq[a][b]: the witness of b below a over all pairs, or None
@@ -585,7 +597,7 @@ def test_comparability_components_match_all_pairs(top):
     for a, (shift, witness) in enumerate(canonical_shift_table(diagrams)[0]):
         (bottom,) = [b for b in minima if component[b] == component[a]]
         assert witness == leq[a][bottom]
-        assert shift.gamma == shifts[bottom].gamma + r_shift(len(top), witness)
+        assert shift.gamma == shifts[bottom].gamma + r_shift(len(tops[0]), witness)
 
 
 def test_canonical_shift_table_refuses_a_diagram_above_two_minima():
@@ -621,6 +633,17 @@ def test_route_plan_closes_each_window_at_its_last_direction(n):
     closed = [(windows[closes], basis[slot]) for slot, _, closes in lattice._route_plan(n) if closes is not None]
     assert sorted(window for window, _ in closed) == sorted(windows)
     assert all((vec.i, vec.j, vec.x, vec.X) == (i, j, n, ()) for (i, j), vec in closed)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_route_plan_is_triangular_in_the_r_direction_coordinates(n):
+    """T_b(r_b) = -1 for every r direction b, and T(r_b) is zero at every
+    direction whose _route_plan step comes before b's: once a route walk has
+    set the step of direction a, every coordinate t_a of gamma - s.r is fixed."""
+    step = {slot: position for position, (slot, _, _) in enumerate(lattice._route_plan(n))}
+    for b, (_, coordinates, _) in enumerate(lattice._r_directions(n)):
+        assert dict(coordinates).get(b) == -1
+        assert all(step[a] >= step[b] for a, _ in coordinates)
 
 
 def test_degenerate_small_n():

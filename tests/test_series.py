@@ -296,7 +296,7 @@ def _uncached_classes(vector):
 @pytest.mark.parametrize("top", [(4, 2, 0), (8, 4, 0), (2, 1, 0, 0), (3, 2, 1, 0)])
 def test_feasible_classes_memo_matches_uncached_patterns(top):
     """The reference classes are the patterns of the vector's top row and row
-    sums; the weight-order memo, keyed on n and the top row and row sums
+    sums; the weight-classes memo, keyed on n and the top row and row sums
     lowered by the full-set count, holds their chi arrays lowered by that
     count, and a repeat returns the same entry."""
     n = len(top)
@@ -311,16 +311,16 @@ def test_feasible_classes_memo_matches_uncached_patterns(top):
         assert isinstance(classes, tuple)
         assert classes == tuple(_uncached_classes(vector))
         key, _, full = lattice._order_key(vector)
-        order = lattice._weight_order(*key)
-        memo = tuple(tuple(value + full for value in chi) for chi in order[0]) if full >= 0 else ()
+        chis = lattice._weight_classes(*key)
+        memo = tuple(tuple(value + full for value in chi) for chi in chis) if full >= 0 else ()
         assert memo == tuple(lattice.chi_table(v) for v in classes)
-        assert lattice._weight_order(*lattice._order_key(vector)[0]) is order
+        assert lattice._weight_classes(*lattice._order_key(vector)[0]) is chis
 
 
 @pytest.mark.parametrize("top", [(8, 4, 0), (3, 1, 0, 0)])
-def test_feasible_down_shifts_memo_matches_an_uncached_search(top):
-    """On every shift and on translates of them by a lattice vector: the memo
-    returns the routes up from each feasible class, as the same tuple on a repeat."""
+def test_feasible_down_shifts_match_an_uncached_search(top):
+    """On every shift and on translates of them by a lattice vector:
+    feasible_down_shifts returns the routes up from each feasible class."""
     n = len(top)
     v = lattice_basis(n)[0].v
     vectors = [shift.gamma for shift in canonical_shifts(enumerate_diagrams(top))]
@@ -330,4 +330,3 @@ def test_feasible_down_shifts_memo_matches_an_uncached_search(top):
         shifts = feasible_down_shifts(vector)
         assert isinstance(shifts, tuple)
         assert shifts == expected
-        assert feasible_down_shifts(vector) is shifts
