@@ -6,17 +6,16 @@ Output is deterministic for fixed inputs and seed; JSON documents carry a
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
 import sys
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .combinatorics import enumerate_diagrams, normalize_weight
-from .gtbasis import gram_matrix, representation, weyl_dimension
+from .gtbasis import gram_matrix, representation, solution_basis, weyl_dimension
 from .lattice import in_lattice, lattice_basis, lattice_rank
 from .polyengine import (
     Polynomial,
@@ -35,22 +34,17 @@ SCHEMA = "gt-agkz/1"
 MAX_N = 12
 
 
-# Commands whose positional argument is a weight.  argparse reads a weight
-# like -1,-2,-3 as an unknown option (only a single number such as -1 passes
-# as a positional), so such a weight must come after --.
+# Commands whose positional argument is a weight.  The argument reader takes
+# a token that starts with - for an option unless it is a number such as -1
+# or -.5, so a weight like -1,-2,-3 reads as an unknown option and must come
+# after --.
 WEIGHT_COMMANDS = ("diagrams", "basis", "gram", "verify")
 OPTION_LIKE_WEIGHT = re.compile(r"-\d[\d,-]*,[\d,-]*")
+NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Parser errors as one line "error: <message>", exit 2; subparsers inherit it."""
-
-    def error(self, message):
-        self.exit(2, f"error: {message}\n")
 
 
 def _parse_weight(text):
@@ -292,7 +286,7 @@ def cmd_basis(args) -> int:
 def cmd_gram(args) -> int:
     weight, _ = normalize_weight(_parse_weight(args.top_row))
     _check_n(len(weight))
-    gram = gram_matrix(representation(weight)[0])
+    gram = gram_matrix(solution_basis(weight))
     if args.format == "json":
         document = {
             "schema": SCHEMA,
@@ -375,67 +369,136 @@ def cmd_eval(args) -> int:
     return 0
 
 
-@lru_cache(maxsize=1)
-def build_parser():
-    """The argument parser, built once per process (its help texts cost gettext lookups)."""
-    parser = _Parser(
-        prog="gt-agkz",
-        description=(
-            "Exact construction of Gelfand-Tsetlin bases as polynomials in "
-            "matrix minors via hypergeometric lattice series and solutions "
-            "of the antisymmetrized GKZ system."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = """\
+Exact construction of Gelfand-Tsetlin bases as polynomials in matrix minors
+via hypergeometric lattice series and solutions of the antisymmetrized GKZ
+system."""
 
-    p = sub.add_parser("lattice", help="print the lattice basis for given n")
-    p.add_argument("n", type=int)
-    _formatted(p)
-    p.set_defaults(func=cmd_lattice)
+_WEIGHT = ("top_row", None, str, "the weight, e.g. 2,1,0")
+_FORMAT = ("--format", "text", ("text", "json"), "output format")
+_OUT = ("--out", None, str, "write to this file, not to stdout")
 
-    p = sub.add_parser("diagrams", help="enumerate diagrams of a top row")
-    p.add_argument("top_row")
-    _formatted(p)
-    p.set_defaults(func=cmd_diagrams)
-
-    p = sub.add_parser("basis", help="full basis: series, solutions, gt functions")
-    p.add_argument("top_row")
-    _formatted(p)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("gram", help="pairing matrix of the solution basis")
-    p.add_argument("top_row")
-    _formatted(p)
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("verify", help="run exact verification suites")
-    p.add_argument("top_row")
-    p.add_argument("--checks", default=None, help="comma separated check names")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--matrices", type=int, default=20)
-    _common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("eval", help="evaluate a serialized polynomial")
-    p.add_argument("poly", help="JSON file with fields n and terms")
-    p.add_argument("--matrix", default=None, help="JSON matrix to evaluate minors at")
-    _common(p)
-    p.set_defaults(func=cmd_eval)
-
-    return parser
+# command -> (handler, help, arguments): its positional, then its options,
+# each as (name, default, converter or tuple of choices, help).
+COMMANDS = {
+    "lattice": (
+        cmd_lattice, "print the lattice basis for given n", (("n", None, int, "matrix size"), _FORMAT, _OUT)
+    ),
+    "diagrams": (cmd_diagrams, "enumerate diagrams of a top row", (_WEIGHT, _FORMAT, _OUT)),
+    "basis": (cmd_basis, "full basis: series, solutions, gt functions", (_WEIGHT, _FORMAT, _OUT)),
+    "gram": (cmd_gram, "pairing matrix of the solution basis", (_WEIGHT, _FORMAT, _OUT)),
+    "verify": (cmd_verify, "run exact verification suites", (
+        _WEIGHT,
+        ("--checks", None, str, "comma separated check names"),
+        ("--seed", 0, int, "seed of the random matrices"),
+        ("--matrices", 20, int, "how many random matrices the minor checks use"),
+        _OUT,
+    )),
+    "eval": (cmd_eval, "evaluate a serialized polynomial", (
+        ("poly", None, str, "JSON file with fields n and terms"),
+        ("--matrix", None, str, "JSON matrix to evaluate minors at"),
+        _OUT,
+    )),
+}
+HELP = ("-h", "--help")
 
 
-def _common(p):
-    p.add_argument("--out", default=None)
+def _usage_error(message):
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(2)
 
 
-def _formatted(p):
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    _common(p)
+def _print_help(command):
+    """Print the usage of command, or of the program for None, and exit 0."""
+    if command is None:
+        lines = [f"usage: gt-agkz [-h] {{{','.join(COMMANDS)}}} ...", "", DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<10}{about}" for name, (_, about, _) in COMMANDS.items()]
+    else:
+        _, about, ((name, _, _, positional_help), *options) = COMMANDS[command]
+        rows = [(name, positional_help), ("-h, --help", "show this help and exit")]
+        for flag, default, kind, option_help in options:
+            metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else flag[2:].upper()
+            shown = "" if default is None else f" (default {default})"
+            rows.append((f"{flag} {metavar}", option_help + shown))
+        usage = "".join(f" [{shape}]" for shape, _ in rows[2:])
+        lines = [f"usage: gt-agkz {command} [-h]{usage} {name}", "", about, ""]
+        lines += [f"  {shape:<24}{text}" for shape, text in rows]
+    print("\n".join(lines))
+    raise SystemExit(0)
+
+
+def _is_option(token, options):
+    """Whether token reads as an option: it starts with - and is neither - nor,
+    unless it names an option, a negative number or a text with a space."""
+    if not token.startswith("-") or token == "-":
+        return False
+    if token in HELP or token.partition("=")[0] in options:
+        return True
+    return not NEGATIVE_NUMBER.fullmatch(token) and " " not in token
+
+
+def _convert(name, kind, value):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            choices = ", ".join(map(repr, kind))
+            _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        _usage_error(f"argument {name}: invalid {kind.__name__} value: {value!r}")
+
+
+def _read_arguments(argv):
+    """(handler, arguments) of argv as COMMANDS lays it out: the command, then
+    its positional and options in any order, each option as --opt value or
+    --opt=value, the last of a repeated option winning, and after -- only
+    positionals.  -h or --help prints the usage and exits 0; a usage error
+    prints one line "error: <message>" and exits 2."""
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    command = argv[0]
+    if command in HELP:
+        _print_help(None)
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _usage_error(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    handler, _, ((name, _, convert, _), *options) = COMMANDS[command]
+    options = {option[0]: option for option in options}
+    values = {flag[2:]: default for flag, default, _, _ in options.values()}
+    head, tail = argv[1:], []
+    if "--" in head:
+        cut = head.index("--")
+        head, tail = head[:cut], head[cut + 1 :]
+    positionals, extras = [], []
+    tokens = iter(head)
+    for token in tokens:
+        if not _is_option(token, options):
+            positionals.append(token)
+            continue
+        if token in HELP:
+            _print_help(command)
+        flag, equals, value = token.partition("=")
+        if flag not in options:
+            extras.append(token)
+            continue
+        if not equals:
+            value = next(tokens, "--")
+            if value == "--" or _is_option(value, options):
+                _usage_error(f"argument {flag}: expected one argument")
+        values[flag[2:]] = _convert(flag, options[flag][2], value)
+    positionals += tail
+    if not positionals:
+        _usage_error(f"the following arguments are required: {name}")
+    values[name] = _convert(name, convert, positionals[0])
+    extras += positionals[1:]
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return handler, SimpleNamespace(**values)
 
 
 def _refuse_option_like_weight(argv):
-    """Raise UsageError for a weight argparse would take for an option, before any --."""
+    """Raise UsageError for a weight the reader would take for an option, before any --."""
     if argv and argv[0] in WEIGHT_COMMANDS:
         for token in argv[1:]:
             if token == "--":
@@ -448,12 +511,11 @@ def _refuse_option_like_weight(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         _refuse_option_like_weight(argv)
-        args = parser.parse_args(argv)
-        return args.func(args)
+        handler, args = _read_arguments(argv)
+        return handler(args)
     except (UsageError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

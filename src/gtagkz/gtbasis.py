@@ -228,9 +228,17 @@ def gt_function(
 
 
 # Bounded memo size.  `basis W` and then `verify W` in one process read one
-# representation, and a long-lived process holds at most this many; the
-# largest n = 8 representations take hundreds of MB, so the memo stays small.
+# representation, and a long-lived process holds at most this many (and as
+# many bases); the largest n = 8 representations take hundreds of MB, so the
+# memos stay small.
 REPRESENTATION_CACHE_SIZE = 2
+
+
+@lru_cache(maxsize=REPRESENTATION_CACHE_SIZE)
+def solution_basis(top_row: tuple) -> RepresentationBasis:
+    """build_basis(top_row), built once per process for the most recent top
+    rows: `gram` reads it alone and representation builds on it."""
+    return build_basis(top_row)
 
 
 @lru_cache(maxsize=REPRESENTATION_CACHE_SIZE)
@@ -239,11 +247,21 @@ def representation(top_row: tuple):
     once per process for the most recent top rows and shared by every caller.
 
     The key is the top row as given; the command line passes the normalized
-    one.  Everything returned is read-only.
+    one.  Everything returned is read-only.  Clearing this memo clears the
+    basis memo under it too.
     """
-    basis = build_basis(top_row)
+    basis = solution_basis(top_row)
     table = CoefficientTable(basis)
     return basis, table, tuple(gt_function(e.shift.gamma, basis, table) for e in basis.entries)
+
+
+def _clear_representations(clear=representation.cache_clear):
+    """representation.cache_clear: the representations and the bases under them."""
+    clear()
+    solution_basis.cache_clear()
+
+
+representation.cache_clear = _clear_representations
 
 
 def canonical_form(gamma: ExponentVector) -> Polynomial:

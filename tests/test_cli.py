@@ -264,9 +264,13 @@ def test_format_is_rejected_where_it_has_no_effect(command, capsys):
         ["diagrams", "2,1,0", "--bogus"],
         [],
         ["bogus"],
+        ["verify", "2,1,0", "--seed"],
+        ["basis", "2,1,0", "--format=xml"],
+        ["basis", "2,1,0", "--form", "json"],
     ],
     ids=["no-weight", "format-xml", "seed-x", "matrices-x", "lattice-three",
-         "unknown-option", "no-command", "unknown-command"],
+         "unknown-option", "no-command", "unknown-command", "seed-no-value",
+         "format-equals-xml", "abbreviated-option"],
 )
 def test_parser_errors_are_one_line_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as stop:
@@ -276,7 +280,7 @@ def test_parser_errors_are_one_line_usage_errors(argv, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["basis", "2,1,0", "-h"]])
 def test_help_still_prints_the_usage(argv, capsys):
     with pytest.raises(SystemExit) as stop:
         main(argv)
@@ -284,6 +288,38 @@ def test_help_still_prints_the_usage(argv, capsys):
     assert stop.value.code == 0
     assert captured.out.startswith("usage: gt-agkz")
     assert captured.err == ""
+
+
+BASIS_JSON = ["basis", "2,1,0", "--format", "json"]
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (["basis", "--format=json", "2,1,0"], BASIS_JSON),
+        (["basis", "--format", "json", "2,1,0"], BASIS_JSON),
+        (["basis", "2,1,0", "--format", "text", "--format", "json"], BASIS_JSON),
+        (["basis", "--format", "json", "--", "2,1,0"], BASIS_JSON),
+        (
+            ["verify", "2,1,0", "--seed", "-3", "--checks", "orthogonality"],
+            ["verify", "2,1,0", "--checks=orthogonality", "--seed=-3"],
+        ),
+        (["lattice", "-1"], None),
+    ],
+    ids=["equals", "option-first", "last-wins", "separator", "negative-value", "negative-positional"],
+)
+def test_argv_forms_that_the_reader_keeps(argv, same_as, capsys):
+    """--opt=value, options before the positional, repeats (the last wins),
+    -- before the positional, and negative numbers as values and positionals."""
+    code, out, err = run(capsys, *argv)
+    if same_as is None:
+        assert_usage_error(code, err)
+        assert "n must be >= 1, got -1" in err
+        return
+    assert code == 0
+    assert (code, out, err) == run(capsys, *same_as)
+    if argv[0] == "verify":
+        assert "PASS  orthogonality" in out
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -388,18 +424,15 @@ def test_to_json_rejects_floats_and_non_str_keys(value):
         cli._to_json(value)
 
 
-def test_the_parser_is_built_once_per_process(capsys, tmp_path):
-    cli.build_parser.cache_clear()
+def test_no_option_carries_over_between_calls(capsys, tmp_path):
     assert run(capsys, "lattice", "3", "--out", str(tmp_path / "lattice.txt"))[0] == 0
     assert run(capsys, "diagrams", "2,1,0")[0] == 0
-    assert cli.build_parser.cache_info().misses == 1
     with pytest.raises(SystemExit) as stop:
         main(["lattice", "three"])
     assert stop.value.code == 2
     code, out, _ = run(capsys, "lattice", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)["k"] == 1  # no --out carried over from the first call
-    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_basis_then_verify_builds_the_representation_once(capsys, monkeypatch):
@@ -426,6 +459,23 @@ def test_basis_then_verify_builds_the_representation_once(capsys, monkeypatch):
     verify._seeded_matrices.cache_clear()
     assert run(capsys, "verify", weight) == (0, shared, "")
     assert len(builds) == len(tables) == 2
+
+
+def test_cold_gram_builds_no_coefficient_table(capsys, monkeypatch):
+    gtbasis.representation.cache_clear()
+    tables = []
+    table_init = gtbasis.CoefficientTable.__init__
+
+    def counting_init(table, basis):
+        tables.append(basis.top_row)
+        table_init(table, basis)
+
+    monkeypatch.setattr(gtbasis.CoefficientTable, "__init__", counting_init)
+    code, out, _ = run(capsys, "gram", "2,1,0,0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dimension"] == 20
+    assert tables == []
+    gtbasis.representation.cache_clear()
 
 
 def test_basis_then_gram_builds_the_basis_once(capsys, monkeypatch):

@@ -158,9 +158,10 @@ def test_shift_vector_checks_chi():
 
 def test_importing_the_cli_loads_no_code_inspection_modules():
     """The records need no dataclasses, whose import loads inspect, ast and dis;
-    nothing loads typing; and only the verify command loads gtagkz.verify and
-    its random.  Checks which modules are loaded, not for how long."""
-    unwanted = {"dataclasses", "inspect", "typing", "gtagkz.verify", "random"}
+    nothing loads typing; only the verify command loads gtagkz.verify and
+    its random; and the argument reader needs no argparse, whose messages load
+    gettext and locale.  Checks which modules are loaded, not for how long."""
+    unwanted = {"dataclasses", "inspect", "typing", "gtagkz.verify", "random", "argparse", "gettext", "locale"}
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import gtagkz.cli; "
         f"print(sorted({unwanted!r} & set(sys.modules)))"
