@@ -267,9 +267,12 @@ representation.cache_clear = _clear_representations
 def canonical_form(gamma: ExponentVector) -> Polynomial:
     """Sparse polynomial congruent to the lattice series modulo the Plucker generators.
 
-    One monomial per feasible class up the r direction, placed at the unique
-    nonnegative point of that class, weighted by (-1)^s / s! times the value
-    at 1 of the Horn-type series at gamma + sum of all basis vectors.
+    One monomial per feasible class up the r direction, weighted by
+    (-1)^s / s! times the value at 1 of the Horn-type series at gamma + sum
+    of all basis vectors.  The monomial sits at the ray point gamma + s.r
+    when that point is nonnegative, even if its class holds other nonnegative
+    points; otherwise at the one nonnegative point of its class, and a class
+    that does not hold exactly one raises AmbiguousSupportError.
     """
     n = gamma.n
     terms = []

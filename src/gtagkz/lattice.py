@@ -184,6 +184,16 @@ def multi_factorial(values) -> int:
     return product
 
 
+def rising(t: int, s: int) -> int:
+    """(t+1)(t+2)...(t+s); equals 1 for s = 0."""
+    if s < 0:
+        raise ValueError("rising factorial needs s >= 0")
+    result = 1
+    for step in range(1, s + 1):
+        result *= t + step
+    return result
+
+
 @lru_cache(maxsize=None)
 def _chi_incidence(n: int):
     """Map subset -> the chi_pairs indices of the functionals counting it, ascending.
@@ -406,28 +416,26 @@ def coset_leq(gamma: ExponentVector, delta: ExponentVector):
 
 
 def _route_sums(n: int, low, high):
-    """The routes joining chi arrays low and high (see r_routes), unordered.
+    """Yield the routes joining chi arrays low and high (see r_routes), in
+    walk order, each as it is assembled.
 
     A direction moves only the windows of its own level i, so a route is one
     walk result per level, summed: each level is walked once, not once per
     route of the levels before it.  The first level is read as it is walked
-    and the others are kept as their nonzero entries, so no level's results
-    are held beside the routes built from them.
+    and the others are kept as their nonzero entries; no route is held.
     """
     defect = _window_defect(n, low, high)
     if defect is None:
-        return []
+        return
     k = len(lattice_basis(n))
     first, *rest = _level_plans(n) or ((),)  # n <= 2: no direction, one empty route
     rest = [[_nonzero(y) for y in _exact_sums(steps, defect, k)] for steps in rest]
-    routes = []
     for y in _exact_sums(first, defect, k):
         for parts in product(*rest):
             route = list(y)
             for slot, value in chain.from_iterable(parts):
                 route[slot] = value
-            routes.append(tuple(route))
-    return routes
+            yield tuple(route)
 
 
 def r_routes(gamma: ExponentVector, delta: ExponentVector):
@@ -482,18 +490,16 @@ def _weight_classes(n: int, top: tuple, sums: tuple):
 
 
 def feasible_routes(gamma: ExponentVector, up=False):
-    """All s >= 0 for which gamma - s.r + B (gamma + s.r + B when up)
-    contains a nonnegative point, sorted: the r_routes from (to) every class
-    of _weight_classes at gamma's key, joined from gamma's window defects."""
+    """Yield every s >= 0 for which gamma - s.r + B (gamma + s.r + B when up)
+    contains a nonnegative point, in walk order: the r_routes from (to) each
+    class of _weight_classes at gamma's key in turn, joined from gamma's
+    window defects.  Each s is yielded once, since it fixes its class."""
     key, chi, full = _order_key(gamma)
     if full < 0:  # chi_n^n counts the full set alone, so no point is nonnegative
-        return ()
+        return
     n = gamma.n
-    found = (
-        _route_sums(n, chi, other) if up else _route_sums(n, other, chi)
-        for other in _weight_classes(*key)
-    )
-    return tuple(sorted(s for routes in found for s in routes))
+    for other in _weight_classes(*key):
+        yield from _route_sums(n, chi, other) if up else _route_sums(n, other, chi)
 
 
 def class_order(shifts):

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 from .combinatorics import enumerate_subsets
-from .lattice import ExponentVector, multi_factorial
+from .lattice import ExponentVector, multi_factorial, rising
 
 
 def _checked(n, exponent):
@@ -244,13 +244,6 @@ def _fraction_str(numerator: int, denominator: int) -> str:
     return f"{numerator // divisor}/{denominator // divisor}"
 
 
-def _falling(base: int, count: int) -> int:
-    result = 1
-    for step in range(count):
-        result *= base - step
-    return result
-
-
 def diff_apply(f: Polynomial, g: Polynomial) -> Polynomial:
     """Apply f with every variable replaced by the matching partial derivative to g."""
     f._check(g)
@@ -262,7 +255,7 @@ def diff_apply(f: Polynomial, g: Polynomial) -> Polynomial:
                 have = w[X]
                 if have < power:  # w - u is negative at X
                     break
-                scale *= _falling(have, power)
+                scale *= rising(have - power, power)
             else:
                 exponent = w - u
                 result[exponent] = result.get(exponent, 0) + cf * cg * scale

@@ -20,18 +20,9 @@ from .lattice import (
     feasible_routes,
     lattice_basis,
     multi_factorial,
+    rising,
 )
 from .polyengine import Polynomial, rational_sum
-
-
-def rising(t: int, s: int) -> int:
-    """(t+1)(t+2)...(t+s); equals 1 for s = 0."""
-    if s < 0:
-        raise ValueError("rising factorial needs s >= 0")
-    result = 1
-    for step in range(1, s + 1):
-        result *= t + step
-    return result
 
 
 def _multi_index(n: int, s) -> tuple:
@@ -94,20 +85,20 @@ def feasible_down_shifts(gamma: ExponentVector):
     """All s >= 0 for which gamma - s.r + B contains a nonnegative point, sorted.
 
     The union of the r-routes up from every feasible class of the same top row
-    and weight, walked on each call and kept nowhere; gamma may be any integer
-    vector, not only a diagram's shift (see lattice.feasible_routes).  The
-    build reads them once per vector, in _solution_parts.
+    and weight, walked on each call; gamma may be any integer vector, not only
+    a diagram's shift (see lattice.feasible_routes).  The build does not call
+    it: _solution_parts reads the routes as they are walked.
     """
-    return feasible_routes(gamma)
+    return tuple(sorted(feasible_routes(gamma)))
 
 
 def feasible_up_shifts(gamma: ExponentVector):
     """All s >= 0 for which gamma + s.r + B contains a nonnegative point, sorted.
 
     The union of the r-routes from gamma up to every feasible class of the
-    same top row and weight, walked on each call and kept nowhere.
+    same top row and weight, walked on each call.
     """
-    return feasible_routes(gamma, up=True)
+    return tuple(sorted(feasible_routes(gamma, up=True)))
 
 
 # Bounded memo size.  A cold (8,4,0) basis asks 575 times for the parts of
@@ -121,16 +112,18 @@ SOLUTION_PARTS_CACHE_SIZE = 4096
 @lru_cache(maxsize=SOLUTION_PARTS_CACHE_SIZE)
 def _solution_parts(gamma: ExponentVector):
     """The nonzero parts of agkz_solution(gamma), a read-only map from each
-    feasible down shift s whose part has a nonzero weight, in sorted order, to
-    (triples, weights, s!) with the triples and weights of
-    _horn_weights(gamma, s, down=s): part s is (-1)^|s| / s! times the
-    Horn-type series with weight s at the representative gamma - s.r.
+    feasible down shift s whose part has a nonzero weight, in the walk order
+    of lattice.feasible_routes, to (triples, weights, s!) with the triples
+    and weights of _horn_weights(gamma, s, down=s): part s is (-1)^|s| / s!
+    times the Horn-type series with weight s at the representative gamma - s.r.
 
-    Most parts vanish, every point's coordinate t lying in -s..-1 for some
-    direction: 23,464 of the 24,097 parts of (2,2,1,1,0,0).
+    Each route is read once as it is walked, and no route list is held.  Most
+    parts vanish, every point's coordinate t lying in -s..-1 for some
+    direction: 23,464 of the 24,097 parts of (2,2,1,1,0,0).  Every sum the
+    parts feed is exact, so their order changes no result.
     """
     parts = {}
-    for s in feasible_down_shifts(gamma):
+    for s in feasible_routes(gamma):
         triples, weights = _horn_weights(gamma, s, down=s)
         if any(weights):
             parts[s] = (triples, weights, multi_factorial(s))

@@ -50,25 +50,25 @@ class CheckResult(ValueRecord):
         self._fill(name, passed, detail)
 
 
-def seeded_matrices(n, seed, count, low=-5, high=5):
-    """Deterministic nonsingular integer matrices with entries in [low, high].
+def seeded_matrices(n, seed, count):
+    """Deterministic nonsingular integer matrices with entries in [-5, 5].
 
     A candidate is kept when its full-set minor, its determinant, is nonzero.
     Returns new lists, read from the memo of _seeded_matrices.
     """
-    matrices, _ = _seeded_matrices(n, seed, count, low, high)
+    matrices, _ = _seeded_matrices(n, seed, count)
     return [[list(row) for row in matrix] for matrix in matrices]
 
 
-# Bounded memo size, keyed by n, seed, count and the entry range.  Every
-# weight of one n shares the matrices of a seed and count (verify's defaults
-# are seed 0 and 20 matrices, entries in [-5, 5]), so verifying the weights of
-# a few n needs one entry each; a long-lived process holds at most this many.
+# Bounded memo size, keyed by n, seed and count.  Every weight of one n
+# shares the matrices of a seed and count (verify's defaults are seed 0 and
+# 20 matrices), so verifying the weights of a few n needs one entry each; a
+# long-lived process holds at most this many.
 MATRIX_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=MATRIX_CACHE_SIZE)
-def _seeded_matrices(n, seed, count, low, high):
+def _seeded_matrices(n, seed, count):
     """(matrices, minors) of seeded_matrices: the matrices as tuples of rows and
     the read-only minor_values of each, which the nonsingularity filter computes."""
     rng = random.Random(seed)
@@ -76,7 +76,7 @@ def _seeded_matrices(n, seed, count, low, high):
     matrices = []
     minors = []
     while len(matrices) < count:
-        candidate = tuple(tuple(rng.randint(low, high) for _ in range(n)) for _ in range(n))
+        candidate = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
         values = minor_values(candidate, n)
         if values[full] != 0:
             matrices.append(candidate)
@@ -123,8 +123,8 @@ class VerifyContext:
         return self._seeded()[1]
 
     def _seeded(self):
-        """(matrices, minors) of the context's seed and count, entries in [-5, 5]."""
-        return _seeded_matrices(self.n, self.seed, self.matrix_count, -5, 5)
+        """(matrices, minors) of the context's seed and count."""
+        return _seeded_matrices(self.n, self.seed, self.matrix_count)
 
     @property
     def plucker_nonzero(self):
@@ -195,11 +195,11 @@ def check_gkz_homogeneity(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def check_pairing_invariance(ctx: VerifyContext, trials=10) -> CheckResult:
+def check_pairing_invariance(ctx: VerifyContext) -> CheckResult:
     rng = random.Random(ctx.seed + 1)
     polys = [entry.agkz_poly for entry in ctx.basis.entries]
     failures = 0
-    for _ in range(trials):
+    for _ in range(10):
         f = _random_combination(polys, rng)
         g = _random_combination(polys, rng)
         i = rng.randint(1, ctx.n)
@@ -207,7 +207,7 @@ def check_pairing_invariance(ctx: VerifyContext, trials=10) -> CheckResult:
         if pair(e_action(i, j, f), g) != pair(f, e_action(j, i, g)):
             failures += 1
     return CheckResult(
-        "pairing-invariance", failures == 0, f"{trials} random trials, {failures} failed"
+        "pairing-invariance", failures == 0, f"10 random trials, {failures} failed"
     )
 
 
@@ -306,11 +306,11 @@ def osnf_shifts(base):
     return sorted(closure)
 
 
-def check_osnf_identity(ctx: VerifyContext, pairs=10) -> CheckResult:
+def check_osnf_identity(ctx: VerifyContext) -> CheckResult:
     rng = random.Random(ctx.seed + 2)
     entries = ctx.basis.entries
     failures = 0
-    for _ in range(pairs):
+    for _ in range(10):
         ea = entries[rng.randrange(len(entries))]
         eb = entries[rng.randrange(len(entries))]
         lhs = diff_apply(ea.gamma_poly, eb.agkz_poly)
@@ -318,7 +318,7 @@ def check_osnf_identity(ctx: VerifyContext, pairs=10) -> CheckResult:
         if lhs != rhs:
             failures += 1
     return CheckResult(
-        "osnf-identity", failures == 0, f"{pairs} random pairs, {failures} failed"
+        "osnf-identity", failures == 0, f"10 random pairs, {failures} failed"
     )
 
 
@@ -414,13 +414,15 @@ def default_checks(n: int):
 
 
 def run_checks(top_row, names=None, seed=0, matrix_count=20):
-    """Run the selected suites; unknown names raise ValueError."""
-    ctx = VerifyContext(top_row, seed=seed, matrix_count=matrix_count)
+    """Run the selected suites.  Before anything is built, an unknown name, or
+    gl3-closed-form for a weight whose length is not 3, raises ValueError."""
+    n = len(top_row)
     if names is None:
-        names = default_checks(ctx.n)
-    results = []
+        names = default_checks(n)
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
-        results.append(CHECKS[name](ctx))
-    return results
+    if "gl3-closed-form" in names and n != 3:
+        raise ValueError("gl3-closed-form requires a length-3 weight")
+    ctx = VerifyContext(top_row, seed=seed, matrix_count=matrix_count)
+    return [CHECKS[name](ctx) for name in names]

@@ -156,6 +156,29 @@ def test_verify_gl3_check_needs_n3(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "top, names, message",
+    [
+        ((2, 1, 0, 0), ["gl3-closed-form"], "gl3-closed-form requires a length-3 weight"),
+        ((2, 1, 0), ["orthogonality", "bogus"], "unknown check 'bogus'"),
+    ],
+)
+def test_run_checks_rejects_names_before_building(top, names, message, monkeypatch):
+    builds = []
+    build_basis = gtbasis.build_basis
+
+    def counting_build(top_row):
+        builds.append(top_row)
+        return build_basis(top_row)
+
+    monkeypatch.setattr(gtbasis, "build_basis", counting_build)
+    gtbasis.representation.cache_clear()
+    with pytest.raises(ValueError) as error:
+        verify.run_checks(top, names)
+    assert str(error.value) == message
+    assert builds == []
+
+
 def test_eval_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "basis", "1,0,0", "--format", "json")
     document = json.loads(out)

@@ -7,6 +7,7 @@ import pytest
 from gtagkz import gtbasis, lattice
 from gtagkz.combinatorics import GTDiagram, highest_diagram
 from gtagkz.gtbasis import (
+    AmbiguousSupportError,
     CoefficientTable,
     _pochhammer_expansion,
     DegenerateMetricError,
@@ -15,12 +16,13 @@ from gtagkz.gtbasis import (
     coeff_C_alt,
     gram_matrix,
     gt_function,
+    hypergeometric_constants,
     representation,
     weyl_dimension,
 )
-from gtagkz.lattice import class_order, lattice_basis, r_shift
+from gtagkz.lattice import class_order, lattice_basis, nonneg_points, r_shift
 from gtagkz.polyengine import evaluate_at_ones, evaluate_minors, pair
-from gtagkz.series import gamma_series, rising
+from gtagkz.series import feasible_up_shifts, gamma_series, rising
 from gtagkz.verify import seeded_matrices
 
 from _reference import SESSION_WEIGHTS, coeff_C, f_pair_series
@@ -315,6 +317,36 @@ def test_canonical_form_hand_computed_two_step_chain():
         (((2,), 1), ((1, 3), 1)): Fraction(2),
         (((3,), 1), ((1, 2), 1)): Fraction(-1),
     }
+
+
+def test_canonical_form_keeps_a_nonnegative_ray_point():
+    """The s = 0 term of ((2,1,0),(2,0),(1,)) sits at the ray point gamma
+    itself, though gamma's class holds two nonnegative points."""
+    basis = build_basis((2, 1, 0))
+    gamma = basis.entries[index_of(basis, GTDiagram(((2, 1, 0), (2, 0), (1,))))].shift.gamma
+    assert len(nonneg_points(gamma)) == 2
+    (s, constant), _ = hypergeometric_constants(gamma, feasible_up_shifts(gamma))
+    assert s == (0,)
+    assert canonical_form(gamma).coefficient(gamma) == constant == 2
+
+
+@pytest.mark.parametrize("top", [(8, 4, 0), (2, 1, 0, 0), (2, 1, 1, 0), (3, 1, 0, 0)])
+def test_canonical_form_is_ambiguous_only_off_the_ray(top):
+    """Each term sits at its ray point gamma + s.r when that point is
+    nonnegative; AmbiguousSupportError comes exactly when some ray point is
+    negative and its class does not hold exactly one nonnegative point."""
+    for entry in build_basis(top).entries:
+        gamma = entry.shift.gamma
+        terms = list(hypergeometric_constants(gamma, feasible_up_shifts(gamma)))
+        rays = [gamma + r_shift(gamma.n, s) for s, _ in terms]
+        if any(not ray.is_nonnegative() and len(nonneg_points(ray)) != 1 for ray in rays):
+            with pytest.raises(AmbiguousSupportError):
+                canonical_form(gamma)
+            continue
+        reduced = canonical_form(gamma)
+        for ray, (_, constant) in zip(rays, terms):
+            if ray.is_nonnegative():
+                assert reduced.coefficient(ray) == constant
 
 
 @pytest.mark.parametrize("top", [(2, 1, 0), (3, 1, 0), (1, 1, 0, 0)])

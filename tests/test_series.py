@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from gtagkz import lattice
+from gtagkz import gtbasis, lattice, series
 from gtagkz.combinatorics import GTDiagram, chi_apply, enumerate_diagrams, highest_diagram
 from gtagkz.lattice import ExponentVector, lattice_basis, r_routes, r_shift, shift_from_diagram
 from gtagkz.operators import euler_weighted
@@ -330,3 +330,19 @@ def test_feasible_down_shifts_match_an_uncached_search(top):
         shifts = feasible_down_shifts(vector)
         assert isinstance(shifts, tuple)
         assert shifts == expected
+
+
+def test_the_build_reads_routes_as_they_are_walked(monkeypatch):
+    """The solutions iterate the route walk itself: the sorted tuple of
+    feasible_down_shifts is built only for callers that ask for it."""
+    calls = []
+
+    def counting(gamma):
+        calls.append(gamma)
+        return feasible_down_shifts(gamma)
+
+    for module in (series, gtbasis):  # counted wherever a module calls it from
+        monkeypatch.setattr(module, "feasible_down_shifts", counting)
+    series._solution_parts.cache_clear()
+    gtbasis.build_basis((2, 1, 0, 0))
+    assert calls == []
