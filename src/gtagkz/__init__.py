@@ -19,8 +19,6 @@ from .gtbasis import (
     CoefficientTable,
     RepresentationBasis,
     build_basis,
-    canonical_form,
-    coeff_C_alt,
     gram_matrix,
     gt_function,
     representation,

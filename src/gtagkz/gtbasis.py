@@ -7,14 +7,15 @@ down-set of each solution from the pairings of the solutions.  The paper's
 coefficients, values at A = 1 of the paired hypergeometric series
 (hypergeometric constants), are kept beside the exact pairings as C, summed
 from the parts of the solutions themselves (series.paired_value).
+
+This module holds the build alone; the oracles that re-derive its values
+(coeff_C_alt, canonical_form) live in verify.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial, prod
 from types import MappingProxyType
 
 from .combinatorics import GTDiagram, ValueRecord, enumerate_diagrams
@@ -23,27 +24,14 @@ from .lattice import (
     ShiftVector,
     canonical_shift_table,
     lattice_basis,
-    nonneg_points,
     r_shift,
 )
 from .polyengine import Polynomial, pair
-from .series import (
-    agkz_solution,
-    feasible_down_shifts,
-    feasible_up_shifts,
-    gamma_series,
-    j_value,
-    multi_factorial,
-    paired_value,
-)
+from .series import agkz_solution, gamma_series, paired_value
 
 
 class DegenerateMetricError(ArithmeticError):
     """The pairing degenerates where the construction needs to divide."""
-
-
-class AmbiguousSupportError(ValueError):
-    """A class on the monomial ray has more than one nonnegative point."""
 
 
 class BasisEntry(ValueRecord):
@@ -94,47 +82,6 @@ def gram_matrix(basis: RepresentationBasis):
     """Exact pairing matrix of the solution polynomials."""
     polys = [entry.agkz_poly for entry in basis.entries]
     return [[pair(f, g) for g in polys] for f in polys]
-
-
-@lru_cache(maxsize=None)
-def _pochhammer_expansion(a: int, b: int):
-    """Coefficients k_c with (t+1)..(t+a) (t+1)..(t+b) = sum_c k_c (t+1)..(t+c),
-    as a read-only map c -> k_c.
-
-    Closed form: k_(a+b-j) = (-1)^j C(a, j) C(b, j) j! for j = 0..min(a, b),
-    so c runs over max(a,b)..a+b.
-    """
-    return MappingProxyType({
-        a + b - j: (-1) ** j * comb(a, j) * comb(b, j) * factorial(j)
-        for j in range(min(a, b) + 1)
-    })
-
-
-def coeff_C_alt(delta: ExponentVector, l) -> Fraction:
-    """The coefficient C at entry delta and gap l, the paired series at
-    delta - l.r at A = 1, through the expansion into plain Horn-type values.
-
-    Expands each doubly weighted term into single Pochhammer series and
-    evaluates those at 1: a computational route independent of the
-    solutions' parts that CoefficientTable sums C from.  The expansion of a
-    term is the product over the directions of their integer expansion
-    tables, so each expanded term carries an integer weight.
-    """
-    l = tuple(l)
-    base = delta - r_shift(delta.n, l)
-    sign_l = -1 if sum(l) % 2 else 1
-    total = Fraction(0)
-    for u in feasible_down_shifts(base):
-        a = tuple(x + y for x, y in zip(u, l))
-        norm = multi_factorial(a) * multi_factorial(u)
-        expansions = [
-            _pochhammer_expansion(a_part, u_part).items() for a_part, u_part in zip(a, u)
-        ]
-        for choice in product(*expansions):
-            value = j_value(base, tuple(c for c, _ in choice), down=u)
-            if value:
-                total += Fraction(sign_l * prod(k for _, k in choice), norm) * value
-    return total
 
 
 class CoefficientTable:
@@ -262,45 +209,6 @@ def _clear_representations(clear=representation.cache_clear):
 
 
 representation.cache_clear = _clear_representations
-
-
-def canonical_form(gamma: ExponentVector) -> Polynomial:
-    """Sparse polynomial congruent to the lattice series modulo the Plucker generators.
-
-    One monomial per feasible class up the r direction, weighted by
-    (-1)^s / s! times the value at 1 of the Horn-type series at gamma + sum
-    of all basis vectors.  The monomial sits at the ray point gamma + s.r
-    when that point is nonnegative, even if its class holds other nonnegative
-    points; otherwise at the one nonnegative point of its class, and a class
-    that does not hold exactly one raises AmbiguousSupportError.
-    """
-    n = gamma.n
-    terms = []
-    for s, constant in hypergeometric_constants(gamma, feasible_up_shifts(gamma)):
-        ray_point = gamma + r_shift(n, s)
-        if ray_point.is_nonnegative():
-            exponent = ray_point
-        else:
-            points = nonneg_points(ray_point)
-            if len(points) != 1:
-                raise AmbiguousSupportError(
-                    "canonical form needs a unique nonnegative point per class"
-                )
-            exponent = points[0]
-        terms.append((exponent, constant))
-    return Polynomial(n, terms)
-
-
-def hypergeometric_constants(gamma: ExponentVector, shifts):
-    """Pairs (s, (-1)^|s| / s! times the value at 1 of the Horn-type series at
-    gamma + the sum of all lattice directions), for the shifts s where that
-    value is nonzero."""
-    for vec in lattice_basis(gamma.n):
-        gamma = gamma + vec.v
-    for s in shifts:
-        constant = j_value(gamma, s)
-        if constant:
-            yield s, Fraction(-1 if sum(s) % 2 else 1, multi_factorial(s)) * constant
 
 
 def weyl_dimension(top_row) -> int:

@@ -3,7 +3,8 @@
 Each check recomputes an identity from first principles (independent
 oracles, random seeded matrices, or dual computational routes) and reports
 pass/fail.  All arithmetic is exact, so every comparison is literal
-equality.
+equality.  The closed-form oracles the checks read (coeff_C_alt,
+canonical_form, hypergeometric_constants) live here, not in the build.
 """
 
 from __future__ import annotations
@@ -12,20 +13,21 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 from types import MappingProxyType
 
 from .combinatorics import ValueRecord, chi_apply, chi_pairs
-from .gtbasis import (
-    AmbiguousSupportError,
-    CoefficientTable,
-    RepresentationBasis,
-    canonical_form,
-    coeff_C_alt,
-    hypergeometric_constants,
-    representation,
+from .gtbasis import CoefficientTable, RepresentationBasis, representation
+from .lattice import (
+    ExponentVector,
+    _class_entry,
+    lattice_basis,
+    multi_factorial,
+    nonneg_points,
+    r_routes,
+    r_shift,
+    rising,
 )
-from .lattice import lattice_basis, r_routes, r_shift
 from .operators import agkz_apply, e_action, plucker_generators
 from .polyengine import (
     Polynomial,
@@ -33,14 +35,13 @@ from .polyengine import (
     evaluate_at_minors,
     minor_values,
     pair,
+    rational_sum,
 )
-from .series import (
-    agkz_solution,
-    feasible_down_shifts,
-    j_value,
-    multi_factorial,
-    rising,
-)
+from .series import agkz_solution, feasible_down_shifts, feasible_up_shifts, j_value
+
+
+class AmbiguousSupportError(ValueError):
+    """A class on the monomial ray has more than one nonnegative point."""
 
 
 class CheckResult(ValueRecord):
@@ -284,6 +285,45 @@ def check_canf_minor_identity(ctx: VerifyContext) -> CheckResult:
     )
 
 
+def canonical_form(gamma: ExponentVector) -> Polynomial:
+    """Sparse polynomial congruent to the lattice series modulo the Plucker generators.
+
+    One monomial per feasible class up the r direction, weighted by
+    (-1)^s / s! times the value at 1 of the Horn-type series at gamma + sum
+    of all basis vectors.  The monomial sits at the ray point gamma + s.r
+    when that point is nonnegative, even if its class holds other nonnegative
+    points; otherwise at the one nonnegative point of its class, and a class
+    that does not hold exactly one raises AmbiguousSupportError.
+    """
+    n = gamma.n
+    terms = []
+    for s, constant in hypergeometric_constants(gamma, feasible_up_shifts(gamma)):
+        ray_point = gamma + r_shift(n, s)
+        if ray_point.is_nonnegative():
+            exponent = ray_point
+        else:
+            points = nonneg_points(ray_point)
+            if len(points) != 1:
+                raise AmbiguousSupportError(
+                    "canonical form needs a unique nonnegative point per class"
+                )
+            exponent = points[0]
+        terms.append((exponent, constant))
+    return Polynomial(n, terms)
+
+
+def hypergeometric_constants(gamma: ExponentVector, shifts):
+    """Pairs (s, (-1)^|s| / s! times the value at 1 of the Horn-type series at
+    gamma + the sum of all lattice directions), for the shifts s where that
+    value is nonzero."""
+    for vec in lattice_basis(gamma.n):
+        gamma = gamma + vec.v
+    for s in shifts:
+        constant = j_value(gamma, s)
+        if constant:
+            yield s, Fraction(-1 if sum(s) % 2 else 1, multi_factorial(s)) * constant
+
+
 def osnf_rhs(gamma, omega) -> Polynomial:
     """Right side of the operator action identity, summed over feasible shifts."""
     n = gamma.n
@@ -320,6 +360,55 @@ def check_osnf_identity(ctx: VerifyContext) -> CheckResult:
     return CheckResult(
         "osnf-identity", failures == 0, f"10 random pairs, {failures} failed"
     )
+
+
+def _pochhammer_expansion(a: int, b: int):
+    """Coefficients k_c with (t+1)..(t+a) (t+1)..(t+b) = sum_c k_c (t+1)..(t+c),
+    as a map c -> k_c.
+
+    Closed form: k_(a+b-j) = (-1)^j C(a, j) C(b, j) j! for j = 0..min(a, b),
+    so c runs over max(a,b)..a+b.
+    """
+    return {
+        a + b - j: (-1) ** j * comb(a, j) * comb(b, j) * factorial(j)
+        for j in range(min(a, b) + 1)
+    }
+
+
+def coeff_C_alt(delta: ExponentVector, l) -> Fraction:
+    """The coefficient C at entry delta and gap l, the paired series at
+    delta - l.r at A = 1, through the expansion into plain Horn-type values.
+
+    Expands each doubly weighted term into single Pochhammer series and
+    evaluates those at 1: a computational route independent of the
+    solutions' parts that CoefficientTable sums C from.  By distributivity,
+    a point's weight is the product over the directions b with a_b > 0 of
+    sum_c k_c (t_b+1)...(t_b+c), read at the coordinates t of the
+    representative base - u.r, whose class entry is read once per down shift u.
+    """
+    l = tuple(l)
+    base = delta - r_shift(delta.n, l)
+    sign_l = -1 if sum(l) % 2 else 1
+    terms = []
+    for u in feasible_down_shifts(base):
+        a = tuple(x + y for x, y in zip(u, l))
+        norm = multi_factorial(a) * multi_factorial(u)
+        expansions = [
+            (b, _pochhammer_expansion(a_part, u_part).items())
+            for b, (a_part, u_part) in enumerate(zip(a, u))
+            if a_part
+        ]
+        triples, origin = _class_entry(base, u)
+        for _, tx, x_factorial in triples:
+            weight = sign_l
+            for b, expansion in expansions:
+                t = tx[b] - origin[b]
+                weight *= sum(k * rising(t, c) for c, k in expansion)
+                if not weight:
+                    break
+            if weight:
+                terms.append((weight, x_factorial * norm))
+    return rational_sum(terms)
 
 
 def check_coeff_crosscheck(ctx: VerifyContext) -> CheckResult:

@@ -10,14 +10,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from gtagkz.gtbasis import (
-    CoefficientTable,
-    build_basis,
-    canonical_form,
-    coeff_C_alt,
-    gram_matrix,
-    representation,
-)
+from gtagkz.gtbasis import CoefficientTable, build_basis, gram_matrix, representation
 from gtagkz.lattice import coset_leq, lattice_basis, r_shift
 from gtagkz.operators import agkz_apply, e_action, plucker_generators
 from gtagkz.polyengine import (
@@ -28,7 +21,7 @@ from gtagkz.polyengine import (
     pair,
 )
 from gtagkz.series import multi_factorial, rising
-from gtagkz.verify import osnf_rhs, seeded_matrices
+from gtagkz.verify import canonical_form, coeff_C_alt, osnf_rhs, seeded_matrices
 import _linalg
 from _reference import coeff_C, j_series
 

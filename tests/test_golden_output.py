@@ -11,6 +11,8 @@ f9f44a2, and the `basis W --format text` digests from commit cc7067b.  The
 dc13330.  The `verify W` digests of the other thirteen n = 3, 4 session
 weights of the benchmark (perfbench/run.py SESSION_POOL) and the `eval`
 values of a `basis 2,1,0` G function were recorded from commit 0f3d6b2.
+The `verify W` digests of 2,1,1,0,0,0 and 2,1,0,0,0,0,0, the first above
+n = 5, were recorded from commit fd3a3c1.
 The n = 10 weight 1,0,0,0,0,0,0,0,0,0 was recorded from the commit that made
 the point and route searches of `lattice` one loop (`lattice._exact_sums`),
 the first that builds a basis at n = 10; its parent 41a75ec, run with the
@@ -48,6 +50,8 @@ GOLDEN_VERIFY = {
     "2,2,2,0": "38c8f855b19adb48b1151f54d573f2d9da07e41af24247254e23aa572eddb0ee",
     "3,2,1,0": "b6bd7450ea33e02134cfdc2af0ade84ee657d41504bcf75dc9f41dcead70f273",
     "2,1,0,0,0": "dc565fe718383f2f772520949c853756f28563396c2da33d486777618fe191b1",
+    "2,1,1,0,0,0": "d576468906ed0e4642259e3365c113bdf1ac90ffd29ad0e98d9f88eaf3933524",
+    "2,1,0,0,0,0,0": "72785a228ed92c2932148754276e886d471ab5c5f46d773b8de94150251532ee",
     "1,0,0": "39946775a712f4c1f3db7225971da40f6199f463255c618795a420edcddc2d26",
     "1,1,0": "39946775a712f4c1f3db7225971da40f6199f463255c618795a420edcddc2d26",
     "2,0,0": "981545ac50f37da4ecacf53b112f6cc8dd4ea0f755da08df72ce74dbda461683",
